@@ -3,7 +3,6 @@ starlike/convex families driven by a target function phi, together with
 the extremal functions attaining them and a brute-force oracle that
 verifies every bound over the exact attainable coefficient region."""
 
-from ._kernels import BACKEND
 from .bounds import (
     BoundFragment,
     BoundReport,
@@ -38,7 +37,6 @@ from .oracle import (
 from .series import Series
 
 __all__ = [
-    "BACKEND",
     "BoundFragment",
     "BoundReport",
     "ClassKind",

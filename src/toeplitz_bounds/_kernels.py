@@ -1,14 +1,10 @@
-"""Numeric kernels for the brute-force oracle.
+"""Numeric kernels: the coefficient map and the three functionals.
 
-Two interchangeable backends implement the same contract:
-
-* ``numba``: scalar kernels compiled with ``@njit`` (default when numba
-  imports cleanly).
-* ``numpy``: vectorized batch evaluation plus a pure-Python polish loop.
-
-Selection: set ``TOEPLITZ_BOUNDS_BACKEND=numpy`` (or ``numba``) before
-import.  Both backends are deterministic; ``benchmarks/bench_oracle.py``
-compares their throughput.
+``a2a3`` and ``functional`` are the one definition of the map
+(w1, w2) -> (a2, a3) and of |T2(2)|, |T3(1)| and |a3 - mu*a2^2|.  The
+same expressions work on Python scalars and on numpy arrays, so
+``eval_batch`` (arrays of Schwarz points) and ``polish`` (one point at a
+time) compute bit-identical values.
 
 Encoding shared with :mod:`toeplitz_bounds.oracle`: kind_id 0=starlike
 1=convex, func_id 0=t22 1=t31 2=fs(mu).
@@ -17,42 +13,33 @@ Encoding shared with :mod:`toeplitz_bounds.oracle`: kind_id 0=starlike
 from __future__ import annotations
 
 import math
-import os
 
-import numpy as np
-
-_requested = os.environ.get("TOEPLITZ_BOUNDS_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"TOEPLITZ_BOUNDS_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-if _requested in ("", "numba"):
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        if _requested == "numba":
-            raise
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
+T22, T31, FS = 0, 1, 2
 
 
-def _eval_point(kind_id, b1, b2, func_id, mu, w1, w2):
-    """Toeplitz/Fekete-Szego functional value at one Schwarz point."""
+def a2a3(kind_id, b1, b2, w1, w2):
+    """(a2, a3) of the family member realizing the Schwarz point (w1, w2)."""
     if kind_id == 0:
         a2 = b1 * w1
         a3 = 0.5 * ((b1 * b1 + b2) * w1 * w1 + b1 * w2)
     else:
         a2 = 0.5 * b1 * w1
         a3 = ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 6.0
-    if func_id == 0:
+    return a2, a3
+
+
+def functional(func_id, mu, a2, a3):
+    """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| at the coefficients (a2, a3)."""
+    if func_id == T22:
         return abs(a3 * a3 - a2 * a2)
-    if func_id == 1:
+    if func_id == T31:
         return abs(1.0 - 2.0 * a2 * a2 - a3 * (a3 - 2.0 * a2 * a2))
     return abs(a3 - mu * a2 * a2)
+
+
+def eval_batch(kind_id, b1, b2, func_id, mu, w1, w2):
+    """Functional values at arrays of Schwarz points."""
+    return functional(func_id, mu, *a2a3(kind_id, b1, b2, w1, w2))
 
 
 def _project(x1, y1, x2, y2):
@@ -76,72 +63,33 @@ def _project(x1, y1, x2, y2):
     return x1, y1, x2, y2
 
 
-def _make_polish(eval_point, project):
-    def polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
-        """Projected coordinate ascent with step halved after each sweep set."""
-        x1, y1 = w1.real, w1.imag
-        x2, y2 = w2.real, w2.imag
-        x1, y1, x2, y2 = project(x1, y1, x2, y2)
-        best = eval_point(kind_id, b1, b2, func_id, mu, x1 + 1j * y1, x2 + 1j * y2)
-        step = 0.25
-        for _ in range(halvings):
-            for _sweep in range(8):
-                improved = False
-                for coord in range(4):
-                    for sign in (1.0, -1.0):
-                        cx1, cy1, cx2, cy2 = x1, y1, x2, y2
-                        if coord == 0:
-                            cx1 += sign * step
-                        elif coord == 1:
-                            cy1 += sign * step
-                        elif coord == 2:
-                            cx2 += sign * step
-                        else:
-                            cy2 += sign * step
-                        cx1, cy1, cx2, cy2 = project(cx1, cy1, cx2, cy2)
-                        val = eval_point(
-                            kind_id, b1, b2, func_id, mu,
-                            cx1 + 1j * cy1, cx2 + 1j * cy2,
-                        )
-                        if val > best:
-                            best = val
-                            x1, y1, x2, y2 = cx1, cy1, cx2, cy2
-                            improved = True
-                if not improved:
-                    break
-            step *= 0.5
-        return best, x1 + 1j * y1, x2 + 1j * y2
-
-    return polish
-
-
-def _eval_batch_numpy(kind_id, b1, b2, func_id, mu, w1, w2):
-    if kind_id == 0:
-        a2 = b1 * w1
-        a3 = 0.5 * ((b1 * b1 + b2) * w1 * w1 + b1 * w2)
-    else:
-        a2 = 0.5 * b1 * w1
-        a3 = ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 6.0
-    if func_id == 0:
-        return np.abs(a3 * a3 - a2 * a2)
-    if func_id == 1:
-        return np.abs(1.0 - 2.0 * a2 * a2 - a3 * (a3 - 2.0 * a2 * a2))
-    return np.abs(a3 - mu * a2 * a2)
-
-
-if BACKEND == "numba":
-    eval_point = njit(cache=True)(_eval_point)
-    _project_jit = njit(cache=True)(_project)
-    polish = njit(cache=True)(_make_polish(eval_point, _project_jit))
-
-    @njit(cache=True)
-    def eval_batch(kind_id, b1, b2, func_id, mu, w1, w2):
-        out = np.empty(w1.shape[0], dtype=np.float64)
-        for i in range(w1.shape[0]):
-            out[i] = eval_point(kind_id, b1, b2, func_id, mu, w1[i], w2[i])
-        return out
-
-else:
-    eval_point = _eval_point
-    polish = _make_polish(_eval_point, _project)
-    eval_batch = _eval_batch_numpy
+def polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
+    """Projected coordinate ascent with step halved after each sweep set."""
+    x1, y1, x2, y2 = _project(w1.real, w1.imag, w2.real, w2.imag)
+    best = functional(func_id, mu, *a2a3(kind_id, b1, b2, x1 + 1j * y1, x2 + 1j * y2))
+    step = 0.25
+    for _ in range(halvings):
+        for _sweep in range(8):
+            improved = False
+            for coord in range(4):
+                for sign in (1.0, -1.0):
+                    cx1, cy1, cx2, cy2 = x1, y1, x2, y2
+                    if coord == 0:
+                        cx1 += sign * step
+                    elif coord == 1:
+                        cy1 += sign * step
+                    elif coord == 2:
+                        cx2 += sign * step
+                    else:
+                        cy2 += sign * step
+                    cx1, cy1, cx2, cy2 = _project(cx1, cy1, cx2, cy2)
+                    a2, a3 = a2a3(kind_id, b1, b2, cx1 + 1j * cy1, cx2 + 1j * cy2)
+                    val = functional(func_id, mu, a2, a3)
+                    if val > best:
+                        best = val
+                        x1, y1, x2, y2 = cx1, cy1, cx2, cy2
+                        improved = True
+            if not improved:
+                break
+        step *= 0.5
+    return best, x1 + 1j * y1, x2 + 1j * y2

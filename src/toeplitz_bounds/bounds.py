@@ -14,6 +14,7 @@ boundary B1 = |B2 + B1^2|).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .catalog import PhiSpec, b_coeffs, validate
@@ -61,6 +62,8 @@ def _require_b1(b1: float) -> None:
 def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
     """Sharp bound on |a3 - mu*a2^2| for real weight mu."""
     _require_b1(b1)
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     if kind is ClassKind.STARLIKE:
         t = 2 * b1 * b1 * mu
         if t <= b2 + b1 * b1 - b1:

@@ -10,6 +10,7 @@ coefficient lists.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -115,6 +116,8 @@ def validate(spec: PhiSpec) -> Admissibility:
     elif spec.kind == "custom":
         if not spec.custom:
             bad.append("custom requires at least the coefficient b1")
+        elif not all(cmath.isfinite(c) for c in spec.custom):
+            bad.append("custom coefficients must be finite")
 
     if not bad:
         s = phi_series(spec, order=3)
@@ -175,7 +178,10 @@ def phi_series(spec: PhiSpec, order: int = 10) -> Series:
         cs = [0.0] * (order + 1)
         cs[0] = 1.0
         for k in range(1, order + 1, 2):
-            cs[k] = (-1.0) ** ((k - 1) // 2) / math.factorial(k)
+            sign = (-1) ** ((k - 1) // 2)
+            # float(k!) overflows past k = 170; there the exact integer
+            # quotient is used instead, and it underflows cleanly to zero
+            cs[k] = (float(sign) if k <= 170 else sign) / math.factorial(k)
         return Series(tuple(cs))
     if spec.kind == "lune":
         return _lune_series(order)

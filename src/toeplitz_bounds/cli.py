@@ -16,6 +16,7 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any
 
@@ -52,6 +53,8 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot render non-finite value {obj} as JSON")
         return fmt_float(obj)
     if obj is None:
         return "null"
@@ -183,15 +186,15 @@ def cmd_extremal(args) -> int:
             "order": ef.order,
             "a2": [ef.a2.real, ef.a2.imag],
             "a3": [ef.a3.real, ef.a3.imag],
-            "t22_abs": abs(ef.t22_value),
-            "t31_abs": abs(ef.t31_value),
+            "t22_abs": ef.t22_value,
+            "t31_abs": ef.t31_value,
             "residual": res,
         }
         print(render_json(doc))
     else:
         print(f"extremal [{kind.value}] order {ef.order}")
         print(f"  a2 = {ef.a2:.12g}   a3 = {ef.a3:.12g}")
-        print(f"  |T2(2)| = {abs(ef.t22_value):.12g}   |T3(1)| = {abs(ef.t31_value):.12g}")
+        print(f"  |T2(2)| = {ef.t22_value:.12g}   |T3(1)| = {ef.t31_value:.12g}")
         print(f"  defining-equation residual = {res:.3e}")
     return 0
 
@@ -222,13 +225,12 @@ def cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
         polish_steps=args.polish_steps,
-        tol=args.tol,
     )
     ef = (k_phi if kind is ClassKind.STARLIKE else h_phi)(spec, order=args.order)
     res = residual(ef, spec)
     lines = []
     all_ok = True
-    frags = {"t22": (rep.t22, abs(ef.t22_value)), "t31": (rep.t31, abs(ef.t31_value))}
+    frags = {"t22": (rep.t22, ef.t22_value), "t31": (rep.t31, ef.t31_value)}
     oracle_docs = {}
     for name, (frag, ext_val) in frags.items():
         orc = oracle.maximize(kind, rep.b1, rep.b2, name, cfg)
@@ -236,7 +238,7 @@ def cmd_verify(args) -> int:
         if frag.hypothesis_ok:
             ok = (
                 abs(ext_val - frag.value) <= SHARP_TOL
-                and frag.value - cfg.tol <= orc.sup_estimate <= frag.value + SHARP_TOL
+                and frag.value - args.tol <= orc.sup_estimate <= frag.value + SHARP_TOL
             )
             all_ok = all_ok and ok
             lines.append(
@@ -255,8 +257,8 @@ def cmd_verify(args) -> int:
         doc = report_to_json(spec, rep)
         doc["oracle"] = oracle_docs
         doc["extremal"] = {
-            "t22_abs": abs(ef.t22_value),
-            "t31_abs": abs(ef.t31_value),
+            "t22_abs": ef.t22_value,
+            "t31_abs": ef.t31_value,
             "residual": res,
         }
         doc["pass"] = all_ok
@@ -381,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(1, "error: --order must be at least 3\n")
     if getattr(args, "samples", 1) < 1:
         parser.exit(1, "error: --samples must be at least 1\n")
+    if (getattr(args, "seed", None) or 0) < 0:
+        parser.exit(1, "error: --seed must be non-negative\n")
+    if getattr(args, "polish_steps", 0) < 0:
+        parser.exit(1, "error: --polish-steps must be non-negative\n")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import series
+from . import _kernels, series
 from .bounds import ClassKind
 from .catalog import PhiSpec, phi_series, validate
 from .series import Series
@@ -38,18 +38,20 @@ class ExtremalFunction:
         return self.coeffs[3]
 
     @property
-    def t22_value(self) -> complex:
-        return self.a3 * self.a3 - self.a2 * self.a2
+    def t22_value(self) -> float:
+        """|T2(2)| at this function's (a2, a3)."""
+        return _kernels.functional(_kernels.T22, 0.0, self.a2, self.a3)
 
     @property
-    def t31_value(self) -> complex:
-        a2, a3 = self.a2, self.a3
-        return 1 - 2 * a2 * a2 - a3 * (a3 - 2 * a2 * a2)
+    def t31_value(self) -> float:
+        """|T3(1)| at this function's (a2, a3)."""
+        return _kernels.functional(_kernels.T31, 0.0, self.a2, self.a3)
 
 
 def _psi(spec: PhiSpec, order: int) -> Series:
-    rot = series.z(order).scale(1j)
-    return series.compose(phi_series(spec, order), rot)
+    """Coefficients of phi(i z): the k-th coefficient of phi times i^k."""
+    phi = phi_series(spec, order).coeffs
+    return Series(tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi)))
 
 
 def _check(spec: PhiSpec, order: int) -> None:

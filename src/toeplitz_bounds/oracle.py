@@ -61,7 +61,6 @@ class OracleConfig:
     samples: int = 200_000
     seed: int | None = None
     polish_steps: int = 40
-    tol: float = 1e-3
     shards: int = 8
     top_candidates: int = 16
 
@@ -85,10 +84,7 @@ def a2a3_from_schwarz(kind: ClassKind, b1: float, b2: float,
     """(a2, a3) of the family member realizing the Schwarz point."""
     if not p.in_region():
         raise ValueError(f"point outside the attainable region: {p}")
-    w1, w2 = p.w1, p.w2
-    if kind is ClassKind.STARLIKE:
-        return b1 * w1, ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 2
-    return b1 * w1 / 2, ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 6
+    return _kernels.a2a3(_KIND_ID[kind], b1, b2, p.w1, p.w2)
 
 
 def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
@@ -116,13 +112,9 @@ def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
 def eval_functional(functional: str, a2: complex, a3: complex,
                     mu: float = 0.0) -> float:
     """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| evaluated with complex arithmetic."""
-    if functional == "t22":
-        return abs(a3 * a3 - a2 * a2)
-    if functional == "t31":
-        return abs(1 - 2 * a2 * a2 - a3 * (a3 - 2 * a2 * a2))
-    if functional == "fs":
-        return abs(a3 - mu * a2 * a2)
-    raise ValueError(f"unknown functional {functional!r}")
+    if functional not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional {functional!r}")
+    return _kernels.functional(_FUNCTIONALS.index(functional), mu, a2, a3)
 
 
 def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,11 @@ class TestFeketeSzego:
         with pytest.raises(ValueError):
             fekete_szego(ST, 0.0, 1.0, mu=0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+    def test_requires_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            fekete_szego(CV, 1.0, 0.0, mu)
+
     @given(b1s, b2s, st.floats(-4, 4))
     def test_nonnegative(self, b1, b2, mu):
         assert fekete_szego(ST, b1, b2, mu) >= 0

@@ -100,6 +100,14 @@ class TestValidate:
         assert not v.ok
         assert any("B1 > 0" in msg for msg in v.violations)
 
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, float("nan")), (float("inf"), 0.0), (1.0, 0.0, complex(0, float("inf"))),
+    ])
+    def test_custom_non_finite(self, coeffs):
+        v = validate(catalog.custom(*coeffs))
+        assert not v.ok
+        assert any("finite" in msg for msg in v.violations)
+
     def test_alpha_range(self):
         assert not validate(catalog.alpha_exponential(1.0)).ok
         assert validate(catalog.alpha_exponential(0.999)).ok

@@ -70,6 +70,11 @@ class TestJsonRendering:
         )
         assert render_json(json.loads(out)) + "\n" == out
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json({"a": [value]})
+
     def test_float_precision(self):
         assert render_json(1 / 3) == "0.33333333333333331"
         assert render_json({"a": True, "b": None}) == (
@@ -157,3 +162,22 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["oracle"]["t22"]["seed"] == 12345
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--class", "custom", "--b1", "1", "--b2", "nan", "--output", "json"],
+    ["bounds", "--class", "custom", "--b1", "inf", "--b2", "0", "--output", "json"],
+    ["fs", "--class", "sine", "--mu", "nan", "--output", "json"],
+    ["verify", "--class", "sine", "--seed", "-1"],
+    ["verify", "--class", "sine", "--polish-steps", "-3", "--output", "json"],
+], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative"])
+def test_bad_input_is_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1

@@ -2,9 +2,9 @@
 
 import pytest
 
-from toeplitz_bounds import catalog
+from toeplitz_bounds import catalog, series
 from toeplitz_bounds.bounds import ClassKind, t22_bound, t31_bound
-from toeplitz_bounds.extremal import ExtremalFunction, h_phi, k_phi, residual
+from toeplitz_bounds.extremal import ExtremalFunction, _psi, h_phi, k_phi, residual
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 
@@ -95,6 +95,30 @@ class TestResidual:
         coeffs[3] += 1e-3
         bad = ExtremalFunction(ef.kind, tuple(coeffs), ef.psi)
         assert residual(bad, spec) >= 1e-4
+
+
+class TestRotation:
+    @pytest.mark.parametrize("spec", [
+        catalog.janowski(0.5, -0.3), catalog.order_alpha(0.3),
+        catalog.alpha_exponential(0.2), catalog.CARDIOID, catalog.SINE,
+        catalog.LUNE, catalog.PARABOLIC, catalog.LIMACON, catalog.NEPHROID,
+        catalog.custom(1.0, -0.9, 0.3),
+    ], ids=lambda spec: spec.kind)
+    def test_psi_equals_compose(self, spec):
+        rot = series.z(50).scale(1j)
+        want = series.compose(catalog.phi_series(spec, 50), rot)
+        assert _psi(spec, 50).coeffs == want.coeffs
+
+
+class TestDeepOrder:
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_sine_order_200(self, make):
+        # past order 170 the sine coefficients need 171! and beyond
+        ef = make(catalog.SINE, order=200)
+        assert residual(ef, catalog.SINE) <= 1e-10
+        b1, b2 = catalog.b_coeffs(catalog.SINE)
+        assert abs(ef.t22_value - t22_bound(ef.kind, b1, b2).value) <= 1e-9
+        assert abs(ef.t31_value - t31_bound(ef.kind, b1, b2).value) <= 1e-9
 
 
 class TestValidation:

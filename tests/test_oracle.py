@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from toeplitz_bounds import catalog
+from toeplitz_bounds import _kernels, catalog
 from toeplitz_bounds.bounds import (
     ClassKind,
     fekete_szego,
@@ -155,6 +155,54 @@ class TestMaximize:
     def test_rejects_unknown_functional(self):
         with pytest.raises(ValueError):
             maximize(ST, 1, 0, "t23", FAST)
+
+    # Exact results at a fixed seed and budget: a change in the arithmetic
+    # order of a kernel, or in the sampling, shows up here.
+    @pytest.mark.parametrize("kind,b1,b2,name,mu,sup,w1,w2", [
+        (ST, 2.0, 2.0, "t22", 0.0, 13.000000000000005,
+         1.4901160971803055e-08 + 1j, 0j),
+        (CV, 4 / 3, 2 / 3, "t31", 0.0, 2.0850480109739373,
+         -1.2143216895125722e-08 - 1j, 0j),
+        (ST, 1.0, -0.9, "t31", 0.0, 3.0975, -1j, 0j),
+        (CV, 1.0, 0.5, "fs", 0.7, 0.16666666666666669,
+         0j, -0.9922778767136677 + 0.12403473458920847j),
+    ])
+    def test_pinned_results(self, kind, b1, b2, name, mu, sup, w1, w2):
+        cfg = OracleConfig(samples=20_000, seed=7)
+        res = maximize(kind, b1, b2, name, cfg, mu=mu)
+        assert repr(res.sup_estimate) == repr(sup)
+        assert repr(res.argmax) == repr(SchwarzPoint(w1, w2))
+        assert res.samples == 20_008
+
+
+class TestKernels:
+    @pytest.mark.parametrize("kind_id", [0, 1])
+    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, _kernels.FS])
+    def test_batch_matches_scalar(self, kind_id, func_id):
+        # One formula serves both paths.  numpy's SIMD loops for complex
+        # multiply and abs round differently from scalar arithmetic, so the
+        # two agree to rounding rather than bit for bit.
+        pts = random_points(2_000, seed=5)
+        w1 = np.array([p.w1 for p in pts])
+        w2 = np.array([p.w2 for p in pts])
+        b1, b2, mu = 1.3, -0.4, 0.7
+        batch = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
+        for value, p1, p2 in zip(batch, w1, w2):
+            # polish evaluates numpy scalars, eval_functional Python complex
+            for s1, s2 in ((p1, p2), (complex(p1), complex(p2))):
+                a2, a3 = _kernels.a2a3(kind_id, b1, b2, s1, s2)
+                scalar = _kernels.functional(func_id, mu, a2, a3)
+                assert value == pytest.approx(scalar, rel=1e-14, abs=1e-14)
+
+    def test_polish_never_calls_eval_batch(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("polish must evaluate scalars itself")
+
+        monkeypatch.setattr(_kernels, "eval_batch", forbidden)
+        val, w1, w2 = _kernels.polish(0, 2.0, 2.0, _kernels.T22, 0.0,
+                                      np.complex128(0.9j), np.complex128(0.1), 40)
+        assert val == pytest.approx(13.0, abs=1e-3)
+        assert SchwarzPoint(complex(w1), complex(w2)).in_region()
 
 
 def test_in_region_predicate():
