@@ -2,17 +2,14 @@
 
 ``a2a3`` and ``functional`` are the one definition of the map
 (w1, w2) -> (a2, a3) and of |T2(2)|, |T3(1)| and |a3 - mu*a2^2|.  The
-same expressions work on Python scalars and on numpy arrays, so
-``eval_batch`` (arrays of Schwarz points) and ``polish`` (one point at a
-time) compute bit-identical values.
+same expressions work on Python scalars and on numpy arrays; ``eval_batch``
+and ``polish`` evaluate arrays of Schwarz points with them.
 
 Encoding shared with :mod:`toeplitz_bounds.oracle`: kind_id 0=starlike
 1=convex, func_id 0=t22 1=t31 2=fs(mu).
 """
 
 from __future__ import annotations
-
-import math
 
 T22, T31, FS = 0, 1, 2
 
@@ -42,54 +39,55 @@ def eval_batch(kind_id, b1, b2, func_id, mu, w1, w2):
     return functional(func_id, mu, *a2a3(kind_id, b1, b2, w1, w2))
 
 
-def _project(x1, y1, x2, y2):
-    """Clamp 4 real coordinates back into |w1| <= 1, |w2| <= 1 - |w1|^2."""
+def _project(p):
+    """Clamp points p[..., :] = (x1, y1, x2, y2) into |w1| <= 1, |w2| <= 1 - |w1|^2."""
+    import numpy as np
+
+    x1, y1, x2, y2 = (p[..., i] for i in range(4))
     r2 = x1 * x1 + y1 * y1
-    if r2 > 1.0:
-        r = math.sqrt(r2)
-        x1 /= r
-        y1 /= r
-        r2 = 1.0
-    cap = 1.0 - r2
-    m = math.sqrt(x2 * x2 + y2 * y2)
-    if m > cap:
-        if cap <= 0.0:
-            x2 = 0.0
-            y2 = 0.0
-        else:
-            s = cap / m
-            x2 *= s
-            y2 *= s
-    return x1, y1, x2, y2
+    r = np.sqrt(np.maximum(r2, 1.0))
+    cap = 1.0 - np.minimum(r2, 1.0)
+    m = np.sqrt(x2 * x2 + y2 * y2)
+    s = np.divide(cap, m, out=np.ones_like(m), where=m > cap)
+    x2 = np.where(cap > 0.0, x2 * s, 0.0)
+    y2 = np.where(cap > 0.0, y2 * s, 0.0)
+    return np.stack([x1 / r, y1 / r, x2, y2], axis=-1)
 
 
 def polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
-    """Projected coordinate ascent with step halved after each sweep set."""
-    x1, y1, x2, y2 = _project(w1.real, w1.imag, w2.real, w2.imag)
-    best = functional(func_id, mu, *a2a3(kind_id, b1, b2, x1 + 1j * y1, x2 + 1j * y2))
+    """Projected pattern search from each candidate; the best one found.
+
+    Each sweep evaluates the 8 axis moves of every candidate at once and
+    moves each candidate to its best move if that improves it.  The step
+    starts at 0.25 and halves after a sweep that improves no candidate, or
+    after 8 sweeps.  A candidate that did not improve keeps its point, so
+    it cannot improve later at the same step: the shared step does not
+    couple the candidates.
+    """
+    import numpy as np
+
+    def value(p):
+        z1, z2 = p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
+        return functional(func_id, mu, *a2a3(kind_id, b1, b2, z1, z2))
+
+    w1 = np.asarray(w1, dtype=np.complex128).reshape(-1)
+    w2 = np.asarray(w2, dtype=np.complex128).reshape(-1)
+    pts = _project(np.stack([w1.real, w1.imag, w2.real, w2.imag], axis=-1))
+    best = value(pts)
     step = 0.25
     for _ in range(halvings):
+        delta = step * np.concatenate([np.eye(4), -np.eye(4)])
         for _sweep in range(8):
-            improved = False
-            for coord in range(4):
-                for sign in (1.0, -1.0):
-                    cx1, cy1, cx2, cy2 = x1, y1, x2, y2
-                    if coord == 0:
-                        cx1 += sign * step
-                    elif coord == 1:
-                        cy1 += sign * step
-                    elif coord == 2:
-                        cx2 += sign * step
-                    else:
-                        cy2 += sign * step
-                    cx1, cy1, cx2, cy2 = _project(cx1, cy1, cx2, cy2)
-                    a2, a3 = a2a3(kind_id, b1, b2, cx1 + 1j * cy1, cx2 + 1j * cy2)
-                    val = functional(func_id, mu, a2, a3)
-                    if val > best:
-                        best = val
-                        x1, y1, x2, y2 = cx1, cy1, cx2, cy2
-                        improved = True
-            if not improved:
+            moves = _project(pts[:, None, :] + delta)
+            vals = value(moves)
+            pick = vals.argmax(axis=1)
+            top = vals.max(axis=1)
+            up = top > best
+            if not up.any():
                 break
+            best = np.where(up, top, best)
+            pts[up] = moves[up, pick[up]]
         step *= 0.5
-    return best, x1 + 1j * y1, x2 + 1j * y2
+    i = int(best.argmax())
+    x1, y1, x2, y2 = pts[i]
+    return float(best[i]), complex(x1 + 1j * y1), complex(x2 + 1j * y2)

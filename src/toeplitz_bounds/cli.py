@@ -387,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(1, "error: --seed must be non-negative\n")
     if getattr(args, "polish_steps", 0) < 0:
         parser.exit(1, "error: --polish-steps must be non-negative\n")
+    if not getattr(args, "tol", 0.0) >= 0:
+        parser.exit(1, "error: --tol must be a non-negative number\n")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -9,7 +9,8 @@ that closed region computes the true supremum over the whole family.
 The search is deterministic for a fixed seed: boundary-biased random
 samples are drawn in independent shards (seed derived from the master seed
 and the shard index), distinguished candidate points are always included,
-and the best candidates are refined by projected coordinate ascent.
+and the best candidates are refined together by a projected pattern
+search.
 Results in the open hypothesis region are estimates, never bounds.
 """
 
@@ -41,6 +42,8 @@ def default_seed() -> int:
     raw = os.environ.get(SEED_ENV)
     if raw is None:
         return 7
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{SEED_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -154,38 +157,33 @@ def maximize(kind: ClassKind, b1: float, b2: float, functional: str,
     kind_id = _KIND_ID[kind]
     func_id = _FUNCTIONALS.index(functional)
     shards = max(1, config.shards)
-    per_shard = max(1, config.samples // shards)
+    base, extra = divmod(config.samples, shards)
+    top_k = max(1, config.top_candidates)
 
-    candidates: list[tuple[float, complex, complex]] = []
+    tops = []
     evaluated = 0
-    for shard in range(shards):
-        w1, w2 = _sample_shard(seed, shard, per_shard)
+    for shard in range(min(shards, config.samples)):
+        w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
         if shard == 0:
-            dw1 = np.array([p[0] for p in DISTINGUISHED], dtype=np.complex128)
-            dw2 = np.array([p[1] for p in DISTINGUISHED], dtype=np.complex128)
+            dw1, dw2 = np.array(DISTINGUISHED, dtype=np.complex128).T
             w1 = np.concatenate([dw1, w1])
             w2 = np.concatenate([dw2, w2])
         vals = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
         evaluated += len(vals)
-        keep = min(config.top_candidates, len(vals))
+        keep = min(top_k, len(vals))
         top = np.argpartition(vals, -keep)[-keep:]
-        candidates.extend((vals[i], w1[i], w2[i]) for i in top)
+        tops.append((vals[top], w1[top], w2[top]))
 
-    candidates.sort(key=lambda c: c[0], reverse=True)
-    best_val, best_w1, best_w2 = candidates[0]
-    best_val = float(best_val)
-    for val0, w1, w2 in candidates[: config.top_candidates]:
-        val, p1, p2 = _kernels.polish(
-            kind_id, b1, b2, func_id, mu, w1, w2, config.polish_steps
-        )
-        if val > best_val:
-            best_val, best_w1, best_w2 = float(val), p1, p2
+    vals, w1, w2 = map(np.concatenate, zip(*tops))
+    best = np.argsort(-vals, kind="stable")[:top_k]
+    sup, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1[best], w2[best],
+                                  config.polish_steps)
 
     return OracleResult(
         functional=functional,
         mu=mu,
-        sup_estimate=best_val,
-        argmax=SchwarzPoint(complex(best_w1), complex(best_w2)),
+        sup_estimate=sup,
+        argmax=SchwarzPoint(p1, p2),
         samples=evaluated,
         seed=seed,
         polish_steps=config.polish_steps,

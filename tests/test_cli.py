@@ -164,14 +164,7 @@ class TestVerifyCommand:
         assert doc["oracle"]["t22"]["seed"] == 12345
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--class", "custom", "--b1", "1", "--b2", "nan", "--output", "json"],
-    ["bounds", "--class", "custom", "--b1", "inf", "--b2", "0", "--output", "json"],
-    ["fs", "--class", "sine", "--mu", "nan", "--output", "json"],
-    ["verify", "--class", "sine", "--seed", "-1"],
-    ["verify", "--class", "sine", "--polish-steps", "-3", "--output", "json"],
-], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative"])
-def test_bad_input_is_one_error_line(capsys, argv):
+def one_error_line(capsys, argv):
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -181,3 +174,28 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("error: ")
     assert out.err.count("\n") == 1
+    return out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--class", "custom", "--b1", "1", "--b2", "nan", "--output", "json"],
+    ["bounds", "--class", "custom", "--b1", "inf", "--b2", "0", "--output", "json"],
+    ["fs", "--class", "sine", "--mu", "nan", "--output", "json"],
+    ["verify", "--class", "sine", "--seed", "-1"],
+    ["verify", "--class", "sine", "--polish-steps", "-3", "--output", "json"],
+    ["verify", "--class", "sine", "--tol", "nan"],
+    ["verify", "--class", "sine", "--tol", "-0.001", "--output", "json"],
+], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative",
+        "tol-nan", "tol-negative"])
+def test_bad_input_is_one_error_line(capsys, argv):
+    err = one_error_line(capsys, argv)
+    if "--tol" in argv:
+        assert "--tol" in err
+
+
+@pytest.mark.parametrize("raw", ["-1", "1.5", "seven", ""])
+def test_bad_seed_env_is_one_error_line(capsys, monkeypatch, raw):
+    monkeypatch.setenv("TOEPLITZ_BOUNDS_SEED", raw)
+    err = one_error_line(capsys, ["verify", "--class", "sine", "--samples", "100"])
+    assert "TOEPLITZ_BOUNDS_SEED" in err
+
