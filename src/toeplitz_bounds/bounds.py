@@ -1,10 +1,16 @@
 """Closed-form coefficient and Toeplitz determinant bounds.
 
 Everything here is a pure function of the class kind (starlike/convex) and
-the first two target coefficients (B1, B2).  Each determinant bound comes
-with a hypothesis verdict: the formula value is always computed, but it is
-only a proven sharp bound when the hypothesis inequalities hold.  Callers
-must treat flagged values as estimates.
+the first two target coefficients (B1, B2).  Each formula is written once
+for both kinds.  By Alexander's relation, f is convex exactly when z f' is
+starlike, so the convex a_n is the starlike a_n divided by n.  At the
+extremal point |a2| = B1/c2 and |a3| = |B2 + B1^2|/c3, with (c2, c3) =
+(1, 2) for starlike and (2, 6) for convex (the table SCALE).
+
+Each determinant bound comes with a hypothesis verdict: the formula value
+is always computed, but it is only a proven sharp bound when the
+hypothesis inequalities hold.  Callers must treat flagged values as
+estimates.
 
 Hypothesis comparisons carry a 1e-12 slack toward acceptance because every
 inequality admits equality (the sine family sits exactly on the T2(2)
@@ -32,6 +38,10 @@ class ClassKind(enum.Enum):
             return cls(text.lower())
         except ValueError:
             raise ValueError(f"unknown class kind {text!r}") from None
+
+
+# (c2, c3): at the extremal point |a2| = B1/c2 and |a3| = |B2 + B1^2|/c3.
+SCALE = {ClassKind.STARLIKE: (1, 2), ClassKind.CONVEX: (2, 6)}
 
 
 @dataclass(frozen=True)
@@ -64,24 +74,19 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
     _require_b1(b1)
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    if kind is ClassKind.STARLIKE:
-        t = 2 * b1 * b1 * mu
-        if t <= b2 + b1 * b1 - b1:
-            return (b2 + b1 * b1 - 2 * mu * b1 * b1) / 2
-        if t <= b2 + b1 * b1 + b1:
-            return b1 / 2
-        return (-b2 - b1 * b1 + 2 * mu * b1 * b1) / 2
-    t = 3 * b1 * b1 * mu
-    if t <= 2 * (b2 + b1 * b1 - b1):
-        return (b2 + b1 * b1 - 1.5 * mu * b1 * b1) / 6
-    if t <= 2 * (b2 + b1 * b1 + b1):
-        return b1 / 6
-    return (-b2 - b1 * b1 + 1.5 * mu * b1 * b1) / 6
+    c2, c3 = SCALE[kind]
+    m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
+    t = m * b1 * b1 * mu
+    if t <= b2 + b1 * b1 - b1:
+        return (b2 + b1 * b1 - m * mu * b1 * b1) / c3
+    if t <= b2 + b1 * b1 + b1:
+        return b1 / c3
+    return (-b2 - b1 * b1 + m * mu * b1 * b1) / c3
 
 
 def a2_bound(kind: ClassKind, b1: float) -> float:
     _require_b1(b1)
-    return b1 if kind is ClassKind.STARLIKE else b1 / 2
+    return b1 / SCALE[kind][0]
 
 
 def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
@@ -91,31 +96,31 @@ def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
 def t22_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     """Bound on |a3^2 - a2^2|; proven sharp when B1 <= |B2 + B1^2|."""
     _require_b1(b1)
-    hyp = b1 <= abs(b2 + b1 * b1) + HYP_SLACK
+    c2, c3 = SCALE[kind]
     s = b2 + b1 * b1
-    if kind is ClassKind.STARLIKE:
-        value = s * s / 4 + b1 * b1
-    else:
-        value = s * s / 36 + b1 * b1 / 4
-    return BoundFragment(value, hyp)
+    value = s * s / (c3 * c3) + b1 * b1 / (c2 * c2)
+    return BoundFragment(value, b1 <= abs(s) + HYP_SLACK)
+
+
+def _t31_interval(kind: ClassKind, b1: float) -> tuple[float, float, float]:
+    """(lo, hi, k): T3(1) is proven sharp for lo <= B2 <= hi = k*B1^2 - B1."""
+    c2, c3 = SCALE[kind]
+    k = 2 * c3 / (c2 * c2) - 1
+    return b1 - b1 * b1, k * b1 * b1 - b1, k
 
 
 def t31_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     """Bound on |1 - 2*a2^2 - a3*(a3 - 2*a2^2)|.
 
-    Proven sharp when B1 - B1^2 <= B2 <= 3*B1^2 - B1 (starlike) or
-    B1 - B1^2 <= B2 <= 2*B1^2 - B1 (convex).
+    Proven sharp when B1 - B1^2 <= B2 <= k*B1^2 - B1, with k = 3 (starlike)
+    or k = 2 (convex).
     """
     _require_b1(b1)
-    lo = b1 - b1 * b1
-    if kind is ClassKind.STARLIKE:
-        hi = 3 * b1 * b1 - b1
-        value = 1 + 2 * b1 * b1 + (b2 + b1 * b1) * (3 * b1 * b1 - b2) / 4
-    else:
-        hi = 2 * b1 * b1 - b1
-        value = 1 + b1 * b1 / 2 + (b2 + b1 * b1) * (2 * b1 * b1 - b2) / 36
-    hyp = (lo - HYP_SLACK <= b2) and (b2 <= hi + HYP_SLACK)
-    return BoundFragment(value, hyp)
+    c2, c3 = SCALE[kind]
+    lo, hi, k = _t31_interval(kind, b1)
+    s = b2 + b1 * b1
+    value = 1 + 2 * b1 * b1 / (c2 * c2) + s * (k * b1 * b1 - b2) / (c3 * c3)
+    return BoundFragment(value, (lo - HYP_SLACK <= b2) and (b2 <= hi + HYP_SLACK))
 
 
 def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
@@ -127,15 +132,11 @@ def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
             "open case, value is the formula only"
         )
     if not t31.hypothesis_ok:
-        lo = b1 - b1 * b1
-        hi = (3 if kind is ClassKind.STARLIKE else 2) * b1 * b1 - b1
+        lo, hi, k = _t31_interval(kind, b1)
         if b2 < lo:
             notes.append(f"t31: B2 = {b2:.6g} < B1 - B1^2 = {lo:.6g}")
         else:
-            notes.append(
-                f"t31: B2 = {b2:.6g} > "
-                f"{'3' if kind is ClassKind.STARLIKE else '2'}*B1^2 - B1 = {hi:.6g}"
-            )
+            notes.append(f"t31: B2 = {b2:.6g} > {k:g}*B1^2 - B1 = {hi:.6g}")
     return notes
 
 

@@ -19,18 +19,13 @@ from .series import Series
 
 REAL_TOL = 1e-12
 
-KINDS = (
-    "janowski",
-    "order-alpha",
-    "exp",
-    "cardioid",
-    "sine",
-    "lune",
-    "parabolic",
-    "limacon",
-    "nephroid",
-    "custom",
-)
+# kind -> the PhiSpec fields it requires, in catalog order
+PARAMS: dict[str, tuple[str, ...]] = {
+    "janowski": ("A", "B"), "order-alpha": ("alpha",), "exp": ("alpha",),
+    **dict.fromkeys(("cardioid", "sine", "lune", "parabolic", "limacon", "nephroid"), ()),
+    "custom": ("custom",),
+}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -54,17 +49,10 @@ class PhiSpec:
             raise ValueError(f"unknown phi kind {self.kind!r}")
 
     def describe_params(self) -> dict:
-        out: dict = {}
-        if self.kind == "janowski":
-            out["A"] = self.A
-            out["B"] = self.B
-        elif self.kind in ("order-alpha", "exp"):
-            out["alpha"] = self.alpha
-        elif self.kind == "custom":
-            for i, c in enumerate(self.custom, start=1):
-                val = c.real if abs(c.imag) <= REAL_TOL else c
-                out[f"b{i}"] = val
-        return out
+        if self.kind == "custom":
+            return {f"b{i}": c.real if abs(c.imag) <= REAL_TOL else c
+                    for i, c in enumerate(self.custom, start=1)}
+        return {name: getattr(self, name) for name in PARAMS[self.kind]}
 
 
 def janowski(A: float, B: float) -> PhiSpec:
@@ -89,6 +77,14 @@ LUNE = PhiSpec("lune")
 PARABOLIC = PhiSpec("parabolic")
 LIMACON = PhiSpec("limacon")
 NEPHROID = PhiSpec("nephroid")
+
+# The golden-table rows, label -> spec: the half-plane map (1+z)/(1-z),
+# the exponential map at alpha = 0 and every kind without parameters.
+TABLE: dict[str, PhiSpec] = {
+    "classical": janowski(1.0, -1.0),
+    "exp": alpha_exponential(0.0),
+    **{kind: PhiSpec(kind) for kind, needs in PARAMS.items() if not needs},
+}
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ Subcommands::
     fs        Fekete-Szego bound |a3 - mu*a2^2| for a given weight
     table     all catalog rows as CSV or JSON
 
-Exit codes: 0 success, 1 usage or spec error, 2 hypothesis failure under
---strict.  Floats are rendered with 17 significant digits so JSON output
-round-trips byte-identically.
+Exit codes: 0 success, 1 usage or spec error (one ``error:`` line on
+stderr), 2 hypothesis failure under --strict.  Floats are rendered with
+17 significant digits so JSON output round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .extremal import h_phi, k_phi, residual
 from .oracle import OracleConfig, OracleResult
 
 SHARP_TOL = 1e-9
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
@@ -55,7 +51,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot render non-finite value {obj} as JSON")
-        return fmt_float(obj)
+        return format(obj, ".17g")
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -63,47 +59,24 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 def spec_from_args(args) -> PhiSpec:
     kind = args.phi_class
-    if kind == "janowski":
-        if args.A is None or args.B is None:
-            raise ValueError("--class janowski requires --A and --B")
-        return catalog.janowski(args.A, args.B)
-    if kind == "order-alpha":
-        if args.alpha is None:
-            raise ValueError("--class order-alpha requires --alpha")
-        return catalog.order_alpha(args.alpha)
-    if kind == "exp":
-        if args.alpha is None:
-            raise ValueError("--class exp requires --alpha")
-        return catalog.alpha_exponential(args.alpha)
     if kind == "custom":
         coeffs = [args.b1, args.b2, args.b3]
         while coeffs and coeffs[-1] is None:
             coeffs.pop()
-        if not coeffs or any(c is None for c in coeffs):
+        if not coeffs or None in coeffs:
             raise ValueError("--class custom requires --b1 (and optionally --b2, --b3)")
         return catalog.custom(*coeffs)
-    if kind == "classical":
-        return catalog.janowski(1.0, -1.0)
-    return PhiSpec(kind)
+    needs = catalog.PARAMS.get(kind)
+    if not needs:  # a table label or a kind without parameters
+        return catalog.TABLE[kind]
+    if any(getattr(args, name) is None for name in needs):
+        flags = " and ".join(f"--{name}" for name in needs)
+        raise ValueError(f"--class {kind} requires {flags}")
+    return PhiSpec(kind, **{name: getattr(args, name) for name in needs})
 
 
-# (table label, spec) in catalog-section order; "classical" is the
-# half-plane map (1+z)/(1-z).
-TABLE_SPECS: tuple[tuple[str, PhiSpec], ...] = (
-    ("classical", catalog.janowski(1.0, -1.0)),
-    ("exp", catalog.alpha_exponential(0.0)),
-    ("cardioid", catalog.CARDIOID),
-    ("sine", catalog.SINE),
-    ("lune", catalog.LUNE),
-    ("parabolic", catalog.PARABOLIC),
-    ("limacon", catalog.LIMACON),
-    ("nephroid", catalog.NEPHROID),
-)
-
-
-def report_to_json(spec: PhiSpec, report: BoundReport,
-                   oracle_block: dict | None = None) -> dict:
-    out: dict = {
+def report_to_json(spec: PhiSpec, report: BoundReport) -> dict:
+    return {
         "class": spec.kind,
         "params": spec.describe_params(),
         "kind": report.kind.value,
@@ -121,11 +94,8 @@ def report_to_json(spec: PhiSpec, report: BoundReport,
             "hypothesis_ok": report.t31.hypothesis_ok,
             "sharp": report.t31.hypothesis_ok,
         },
+        "notes": list(report.notes),
     }
-    if oracle_block is not None:
-        out["oracle"] = oracle_block
-    out["notes"] = list(report.notes)
-    return out
 
 
 def oracle_to_json(res: OracleResult) -> dict:
@@ -154,20 +124,16 @@ def _print_human_report(spec: PhiSpec, report: BoundReport) -> None:
 
 def cmd_bounds(args) -> int:
     spec = spec_from_args(args)
-    kinds = (
-        [ClassKind.STARLIKE, ClassKind.CONVEX]
-        if args.kind == "both"
-        else [ClassKind.parse(args.kind)]
-    )
-    reports = [(k, full_report(spec, k)) for k in kinds]
+    kinds = list(ClassKind) if args.kind == "both" else [ClassKind.parse(args.kind)]
+    reports = [full_report(spec, k) for k in kinds]
     if args.output == "json":
-        docs = [report_to_json(spec, r) for _, r in reports]
+        docs = [report_to_json(spec, r) for r in reports]
         print(render_json(docs[0] if len(docs) == 1 else docs))
     else:
-        for _, r in reports:
+        for r in reports:
             _print_human_report(spec, r)
     if args.strict and any(
-        not r.t22.hypothesis_ok or not r.t31.hypothesis_ok for _, r in reports
+        not r.t22.hypothesis_ok or not r.t31.hypothesis_ok for r in reports
     ):
         return 2
     return 0
@@ -271,8 +237,8 @@ def cmd_verify(args) -> int:
 
 def table_rows() -> list[dict]:
     rows = []
-    for label, spec in TABLE_SPECS:
-        for kind in (ClassKind.STARLIKE, ClassKind.CONVEX):
+    for label, spec in catalog.TABLE.items():
+        for kind in ClassKind:
             rep = full_report(spec, kind)
             rows.append({
                 "class": label,
@@ -288,18 +254,10 @@ def table_rows() -> list[dict]:
 
 
 def render_table_csv(rows: list[dict]) -> str:
-    lines = ["class,kind,B1,B2,T22_ok,T22,T31_ok,T31"]
-    for r in rows:
-        lines.append(",".join([
-            r["class"],
-            r["kind"],
-            fmt_float(r["B1"]),
-            fmt_float(r["B2"]),
-            "true" if r["T22_ok"] else "false",
-            fmt_float(r["T22"]),
-            "true" if r["T31_ok"] else "false",
-            fmt_float(r["T31"]),
-        ]))
+    lines = [",".join(rows[0])] + [
+        ",".join(v if isinstance(v, str) else render_json(v) for v in r.values())
+        for r in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -315,10 +273,7 @@ def cmd_table(args) -> int:
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--class", dest="phi_class", required=True,
-        choices=[
-            "janowski", "classical", "order-alpha", "exp", "cardioid", "sine",
-            "lune", "parabolic", "limacon", "nephroid", "custom",
-        ],
+        choices=list(dict.fromkeys([*catalog.PARAMS, *catalog.TABLE])),
     )
     p.add_argument("--A", type=float, default=None)
     p.add_argument("--B", type=float, default=None)
@@ -328,8 +283,35 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b3", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one line and exit 1; exit 2 belongs to --strict."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Pass '--mu -1e-3' as '--mu=-1e-3': argparse reads '-1e-3' as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and token.startswith("-") and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toeplitz-bounds",
         description="Sharp Toeplitz determinant bounds for starlike/convex families",
     )
@@ -378,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "order", 3) < 3:
         parser.exit(1, "error: --order must be at least 3\n")
     if getattr(args, "samples", 1) < 1:

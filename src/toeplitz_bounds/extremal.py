@@ -1,12 +1,14 @@
 """Extremal functions attaining the Toeplitz determinant bounds.
 
-The starlike witness K solves z K'(z) = K(z) * phi(i z) and the convex
-witness H solves z H''(z) = H'(z) * (phi(i z) - 1), both normalized by
-f(0) = 0, f'(0) = 1.  Their coefficients follow from simple recursions in
-the coefficients psi_n of the rotated target phi(i z); the first two are
-a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and a2 = i*B1/2, a3 = -(B1^2 + B2)/6
-for H.  When the theorem hypotheses hold, |T2(2)| and |T3(1)| evaluated at
-these coefficients equal the closed-form bounds exactly.
+The starlike witness K solves z K'(z) = K(z) * phi(i z) with K(0) = 0,
+K'(0) = 1, by a recursion in the coefficients psi_n of phi(i z).  The
+convex witness H solves z H''(z) = H'(z) * (phi(i z) - 1).  By Alexander's
+relation f is convex exactly when z f' is starlike, so H' = K/z and
+a_n(H) = a_n(K)/n: a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and a2 = i*B1/2,
+a3 = -(B1^2 + B2)/6 for H.  When the theorem hypotheses hold, |T2(2)| and
+|T3(1)| at these coefficients equal the closed-form bounds exactly.  The
+residual checks each defining equation directly, independent of the
+relation.
 """
 
 from __future__ import annotations
@@ -54,17 +56,13 @@ def _psi(spec: PhiSpec, order: int) -> Series:
     return Series(tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi)))
 
 
-def _check(spec: PhiSpec, order: int) -> None:
+def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
+    """Starlike extremal: a_n = (1/(n-1)) * sum_{k=1}^{n-1} a_k psi_{n-k}."""
     if order < 3:
         raise ValueError("order must be at least 3")
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-
-
-def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
-    """Starlike extremal: a_n = (1/(n-1)) * sum_{k=1}^{n-1} a_k psi_{n-k}."""
-    _check(spec, order)
     psi = _psi(spec, order)
     a = [0j] * (order + 1)
     a[1] = 1
@@ -77,20 +75,10 @@ def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
 
 
 def h_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
-    """Convex extremal via g = H': m g_m = sum_{k=0}^{m-1} g_k psi_{m-k}."""
-    _check(spec, order)
-    psi = _psi(spec, order)
-    g = [0j] * order
-    g[0] = 1
-    for m in range(1, order):
-        acc = 0j
-        for k in range(m):
-            acc += g[k] * psi[m - k]
-        g[m] = acc / m
-    a = [0j] * (order + 1)
-    for m in range(order):
-        a[m + 1] = g[m] / (m + 1)
-    return ExtremalFunction(ClassKind.CONVEX, tuple(a), psi)
+    """Convex extremal by Alexander's relation H' = K/z: a_n(H) = a_n(K)/n."""
+    ef = k_phi(spec, order)
+    a = (ef.coeffs[0],) + tuple(c / n for n, c in enumerate(ef.coeffs[1:], 1))
+    return ExtremalFunction(ClassKind.CONVEX, a, ef.psi)
 
 
 def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:

@@ -24,16 +24,7 @@ from toeplitz_bounds.oracle import OracleConfig, maximize
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 
-SPECS = {
-    "classical": catalog.janowski(1.0, -1.0),
-    "exp": catalog.alpha_exponential(0.0),
-    "cardioid": catalog.CARDIOID,
-    "sine": catalog.SINE,
-    "lune": catalog.LUNE,
-    "parabolic": catalog.PARABOLIC,
-    "limacon": catalog.LIMACON,
-    "nephroid": catalog.NEPHROID,
-}
+SPECS = catalog.TABLE
 
 # (T22 starlike, T31 starlike, T22 convex, T31 convex); None = no proven value
 GOLDEN_EXACT = {

@@ -1,11 +1,14 @@
 """Tests for the closed-form bounds and their hypothesis predicates."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from toeplitz_bounds import catalog
 from toeplitz_bounds.bounds import (
+    HYP_SLACK,
     ClassKind,
     a2_bound,
     a3_bound,
@@ -196,3 +199,90 @@ class TestFullReport:
         rep = full_report(catalog.custom(1.0, -0.9), ST)
         assert not rep.t22.hypothesis_ok
         assert len(rep.notes) == 2
+
+
+# The per-kind formulas as they were written before the kinds shared one
+# definition; the shared code must reproduce them bit for bit.
+
+def ref_fekete_szego(kind, b1, b2, mu):
+    if kind is ST:
+        t = 2 * b1 * b1 * mu
+        if t <= b2 + b1 * b1 - b1:
+            return (b2 + b1 * b1 - 2 * mu * b1 * b1) / 2
+        if t <= b2 + b1 * b1 + b1:
+            return b1 / 2
+        return (-b2 - b1 * b1 + 2 * mu * b1 * b1) / 2
+    t = 3 * b1 * b1 * mu
+    if t <= 2 * (b2 + b1 * b1 - b1):
+        return (b2 + b1 * b1 - 1.5 * mu * b1 * b1) / 6
+    if t <= 2 * (b2 + b1 * b1 + b1):
+        return b1 / 6
+    return (-b2 - b1 * b1 + 1.5 * mu * b1 * b1) / 6
+
+
+def ref_t22(kind, b1, b2):
+    hyp = b1 <= abs(b2 + b1 * b1) + HYP_SLACK
+    s = b2 + b1 * b1
+    if kind is ST:
+        return s * s / 4 + b1 * b1, hyp
+    return s * s / 36 + b1 * b1 / 4, hyp
+
+
+def ref_t31(kind, b1, b2):
+    lo = b1 - b1 * b1
+    if kind is ST:
+        hi = 3 * b1 * b1 - b1
+        value = 1 + 2 * b1 * b1 + (b2 + b1 * b1) * (3 * b1 * b1 - b2) / 4
+    else:
+        hi = 2 * b1 * b1 - b1
+        value = 1 + b1 * b1 / 2 + (b2 + b1 * b1) * (2 * b1 * b1 - b2) / 36
+    return value, (lo - HYP_SLACK <= b2) and (b2 <= hi + HYP_SLACK)
+
+
+def ref_notes(kind, b1, b2):
+    notes = []
+    if not ref_t22(kind, b1, b2)[1]:
+        notes.append(
+            f"t22: |B2 + B1^2| = {abs(b2 + b1 * b1):.6g} < B1 = {b1:.6g}; "
+            "open case, value is the formula only"
+        )
+    if not ref_t31(kind, b1, b2)[1]:
+        lo = b1 - b1 * b1
+        hi = (3 if kind is ST else 2) * b1 * b1 - b1
+        if b2 < lo:
+            notes.append(f"t31: B2 = {b2:.6g} < B1 - B1^2 = {lo:.6g}")
+        else:
+            notes.append(
+                f"t31: B2 = {b2:.6g} > "
+                f"{'3' if kind is ST else '2'}*B1^2 - B1 = {hi:.6g}"
+            )
+    return tuple(notes)
+
+
+def same(x, y):
+    """Bitwise float equality: == that also tells apart 0.0 and -0.0."""
+    return x == y and math.copysign(1, x) == math.copysign(1, y)
+
+
+wide_b1 = st.floats(0, 1e6, exclude_min=True)
+wide = st.floats(-1e6, 1e6)
+
+
+class TestOneDefinitionPerFormula:
+    @given(wide_b1, wide, wide)
+    def test_bitwise_equal_to_per_kind_formulas(self, b1, b2, mu):
+        for kind in (ST, CV):
+            assert same(fekete_szego(kind, b1, b2, mu), ref_fekete_szego(kind, b1, b2, mu))
+            assert same(a2_bound(kind, b1), b1 if kind is ST else b1 / 2)
+            t22, t31 = t22_bound(kind, b1, b2), t31_bound(kind, b1, b2)
+            want22, want31 = ref_t22(kind, b1, b2), ref_t31(kind, b1, b2)
+            assert same(t22.value, want22[0]) and t22.hypothesis_ok == want22[1]
+            assert same(t31.value, want31[0]) and t31.hypothesis_ok == want31[1]
+            rep = full_report(catalog.custom(b1, b2), kind)
+            assert rep.notes == ref_notes(kind, b1, b2)
+
+    @pytest.mark.parametrize("label,spec", list(catalog.TABLE.items()))
+    def test_catalog_notes(self, label, spec):
+        b1, b2 = catalog.b_coeffs(spec)
+        for kind in (ST, CV):
+            assert full_report(spec, kind).notes == ref_notes(kind, b1, b2)

@@ -185,12 +185,33 @@ def one_error_line(capsys, argv):
     ["verify", "--class", "sine", "--polish-steps", "-3", "--output", "json"],
     ["verify", "--class", "sine", "--tol", "nan"],
     ["verify", "--class", "sine", "--tol", "-0.001", "--output", "json"],
+    ["verify", "--class", "sine", "--tol", "-1e-3"],
+    ["bounds", "--class", "nosuch"],
+    ["bounds", "--class"],
+    ["fs", "--class", "sine"],
+    ["bounds", "--class", "sine", "--kind", "sideways"],
+    ["table", "--bogus"],
 ], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative",
-        "tol-nan", "tol-negative"])
+        "tol-nan", "tol-negative", "tol-negative-exponent", "unknown-class",
+        "missing-value", "missing-option", "unknown-kind", "unknown-flag"])
 def test_bad_input_is_one_error_line(capsys, argv):
     err = one_error_line(capsys, argv)
     if "--tol" in argv:
         assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fs", "--class", "sine", "--mu", "-1e-3"],
+    ["bounds", "--class", "custom", "--b1", "1", "--b2", "-1e-3", "--output", "json"],
+    ["bounds", "--class", "custom", "--b1", "1", "--b2", "-0.9", "--kind", "convex"],
+])
+def test_negative_value_reads_as_number(capsys, argv):
+    # argparse alone reads '-1e-3' as an option and stops with a usage text
+    i = next(i for i, a in enumerate(argv) if a.startswith("-") and a[1:2].isdigit())
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *joined)
+    assert code == 0 and out and not err
 
 
 @pytest.mark.parametrize("raw", ["-1", "1.5", "seven", ""])

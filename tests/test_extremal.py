@@ -8,16 +8,31 @@ from toeplitz_bounds.extremal import ExtremalFunction, _psi, h_phi, k_phi, resid
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 
-CATALOG = [
-    ("classical", catalog.janowski(1.0, -1.0)),
-    ("exp", catalog.alpha_exponential(0.0)),
-    ("cardioid", catalog.CARDIOID),
-    ("sine", catalog.SINE),
-    ("lune", catalog.LUNE),
-    ("parabolic", catalog.PARABOLIC),
-    ("limacon", catalog.LIMACON),
-    ("nephroid", catalog.NEPHROID),
+CATALOG = list(catalog.TABLE.items())
+
+# one spec of every catalog kind
+ONE_PER_KIND = [
+    catalog.janowski(0.5, -0.3), catalog.order_alpha(0.3),
+    catalog.alpha_exponential(0.2), catalog.CARDIOID, catalog.SINE,
+    catalog.LUNE, catalog.PARABOLIC, catalog.LIMACON, catalog.NEPHROID,
+    catalog.custom(1.0, -0.9, 0.3),
 ]
+
+
+def convex_recursion(spec, order):
+    """The former convex recursion for g = H': m g_m = sum_{k<m} g_k psi_{m-k}."""
+    psi = _psi(spec, order)
+    g = [0j] * order
+    g[0] = 1
+    for m in range(1, order):
+        acc = 0j
+        for k in range(m):
+            acc += g[k] * psi[m - k]
+        g[m] = acc / m
+    a = [0j] * (order + 1)
+    for m in range(order):
+        a[m + 1] = g[m] / (m + 1)
+    return tuple(a)
 
 
 class TestInitialCoefficients:
@@ -98,16 +113,21 @@ class TestResidual:
 
 
 class TestRotation:
-    @pytest.mark.parametrize("spec", [
-        catalog.janowski(0.5, -0.3), catalog.order_alpha(0.3),
-        catalog.alpha_exponential(0.2), catalog.CARDIOID, catalog.SINE,
-        catalog.LUNE, catalog.PARABOLIC, catalog.LIMACON, catalog.NEPHROID,
-        catalog.custom(1.0, -0.9, 0.3),
-    ], ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
     def test_psi_equals_compose(self, spec):
         rot = series.z(50).scale(1j)
         want = series.compose(catalog.phi_series(spec, 50), rot)
         assert _psi(spec, 50).coeffs == want.coeffs
+
+
+class TestAlexanderRelation:
+    @pytest.mark.parametrize("order", [3, 10, 200])
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
+    def test_h_phi_equals_convex_recursion_bitwise(self, spec, order):
+        ef = h_phi(spec, order)
+        assert ef.kind is CV
+        # repr tells apart types and signed zeros that == would merge
+        assert list(map(repr, ef.coeffs)) == list(map(repr, convex_recursion(spec, order)))
 
 
 class TestDeepOrder:
