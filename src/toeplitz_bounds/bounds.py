@@ -148,6 +148,8 @@ def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
     b1, b2 = b_coeffs(spec)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
+    if not (math.isfinite(t22.value) and math.isfinite(t31.value)):
+        raise ValueError(f"the bounds overflow a float at B1 = {b1:g}, B2 = {b2:g}")
     return BoundReport(
         kind=kind,
         b1=b1,

@@ -179,7 +179,8 @@ def cmd_fs(args) -> int:
             "bound": value,
         }))
     else:
-        print(f"|a3 - {args.mu:g}*a2^2| <= {value:.12g}  [{kind.value}]")
+        sign = "+" if args.mu < 0 else "-"
+        print(f"|a3 {sign} {abs(args.mu):g}*a2^2| <= {value:.12g}  [{kind.value}]")
     return 0
 
 

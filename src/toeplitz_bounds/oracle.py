@@ -12,14 +12,16 @@ and the shard index), distinguished candidate points are always included,
 and the best candidates are refined together by a projected pattern
 search.
 Results in the open hypothesis region are estimates, never bounds.
+
+numpy is imported inside the sampling functions, so it loads only when
+``verify`` samples; the other subcommands start at interpreter-plus-stdlib
+cost.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .bounds import ClassKind
@@ -127,6 +129,8 @@ def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray
     extremals live; the rest bias |w1| toward the boundary and |w2| toward
     its cap 1 - |w1|^2.
     """
+    import numpy as np
+
     rng = np.random.default_rng([seed, shard])
     nb = n // 2
     ni = n - nb
@@ -146,6 +150,8 @@ def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray
 def maximize(kind: ClassKind, b1: float, b2: float, functional: str,
              config: OracleConfig = OracleConfig(), mu: float = 0.0) -> OracleResult:
     """Deterministic maximum of a functional over the attainable region."""
+    import numpy as np
+
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
     if not b1 > 0:

@@ -1,10 +1,19 @@
 """CLI behavior: flags, exit codes, JSON/CSV rendering, golden table."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import toeplitz_bounds
+from toeplitz_bounds import catalog
 from toeplitz_bounds.cli import main, render_json, render_table_csv, table_rows
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_table.csv"
@@ -134,6 +143,16 @@ class TestFsCommand:
         assert code == 0
         assert json.loads(out)["bound"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mu, text", [
+        ("-1e-3", "|a3 + 0.001*a2^2| <= 0.501  [starlike]\n"),
+        ("-0", "|a3 - 0*a2^2| <= 0.5  [starlike]\n"),
+    ])
+    def test_human_weight_sign(self, capsys, mu, text):
+        # A negative weight once printed as '|a3 - -0.001*a2^2|'; the
+        # transcript pins the output for positive weights.
+        code, out, _ = run(capsys, "fs", "--class", "sine", "--mu", mu)
+        assert (code, out) == (0, text)
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -191,9 +210,12 @@ def one_error_line(capsys, argv):
     ["fs", "--class", "sine"],
     ["bounds", "--class", "sine", "--kind", "sideways"],
     ["table", "--bogus"],
+    ["bounds", "--class", "custom", "--b1", "1e77"],
+    ["verify", "--class", "custom", "--b1", "1e77", "--samples", "100"],
 ], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative",
         "tol-nan", "tol-negative", "tol-negative-exponent", "unknown-class",
-        "missing-value", "missing-option", "unknown-kind", "unknown-flag"])
+        "missing-value", "missing-option", "unknown-kind", "unknown-flag",
+        "bounds-overflow", "verify-overflow"])
 def test_bad_input_is_one_error_line(capsys, argv):
     err = one_error_line(capsys, argv)
     if "--tol" in argv:
@@ -220,3 +242,107 @@ def test_bad_seed_env_is_one_error_line(capsys, monkeypatch, raw):
     err = one_error_line(capsys, ["verify", "--class", "sine", "--samples", "100"])
     assert "TOEPLITZ_BOUNDS_SEED" in err
 
+
+
+def test_numpy_loads_only_when_verify_samples():
+    # A fresh interpreter, so that no other test has imported numpy yet.
+    script = """
+import contextlib, io, sys
+import toeplitz_bounds, toeplitz_bounds.cli
+loaded = ['numpy' in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["bounds", "--class", "sine", "--kind", "both"],
+                 ["fs", "--class", "sine", "--mu", "0.5"],
+                 ["extremal", "--class", "lune", "--kind", "convex"],
+                 ["table"]):
+        assert toeplitz_bounds.cli.main(argv) == 0, argv
+        loaded.append('numpy' in sys.modules)
+    code = toeplitz_bounds.cli.main(
+        ["verify", "--class", "sine", "--samples", "2000", "--seed", "7"])
+loaded.append('numpy' in sys.modules)
+print(code, *loaded)
+"""
+    src = str(pathlib.Path(toeplitz_bounds.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] + ["False"] * 5 + ["True"]
+
+
+# -- fuzz ------------------------------------------------------------------
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+FLOATS = st.one_of(
+    st.floats(-3.0, 3.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["-1e-3", "1e-3", "-0.9", "1", "0", "-0", "x"]),
+)
+
+
+def _ints(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(["1.5", "nan", "x"]))
+
+
+SPEC_FLAGS = {f"--{name}": FLOATS for name in ("A", "B", "alpha", "b1", "b2", "b3")}
+COMMAND_FLAGS = {
+    "bounds": {"--kind": st.sampled_from(["starlike", "convex", "both", "sideways"]),
+               "--strict": None},
+    "extremal": {"--kind": st.sampled_from(["starlike", "convex", "both"]),
+                 "--order": _ints(-3, 40)},
+    "fs": {"--kind": st.sampled_from(["starlike", "convex"]), "--mu": FLOATS},
+    "verify": {"--kind": st.sampled_from(["starlike", "convex"]),
+               "--order": _ints(-3, 40), "--seed": _ints(-3, 2**40),
+               "--polish-steps": _ints(-3, 12), "--tol": FLOATS},
+    "table": {},
+}
+CLASSES = [*dict.fromkeys([*catalog.PARAMS, *catalog.TABLE]), "nosuch"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "nosuch"]))
+    flags = dict(COMMAND_FLAGS.get(command, {}))
+    flags["--output"] = st.sampled_from(["human", "json", "csv", "xml"])
+    flags["--bogus"] = None
+    argv = [command]
+    if command not in ("table", "nosuch") and draw(st.integers(0, 9)):
+        cls = draw(st.sampled_from(CLASSES))
+        argv += ["--class", cls]
+        names = ("b1", "b2", "b3") if cls == "custom" else catalog.PARAMS.get(cls, ())
+        needed = [f"--{name}" for name in names]
+        flags.update(SPEC_FLAGS)
+        argv += [tok for flag in needed if draw(st.integers(0, 9))
+                 for tok in (flag, draw(SPEC_FLAGS[flag]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    if command == "verify":
+        argv += ["--samples", draw(st.integers(-2, 2000).map(str))]
+    if len(argv) > 1 and draw(st.integers(0, 9)) == 0:
+        argv.pop()  # a truncated command line: a flag may lose its value
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argv())
+def test_fuzz_output_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if err:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    # exit 2 is a hypothesis failure under --strict, exit 1 a verify FAIL
+    assert code == 0 or (code, argv[0]) in ((2, "bounds"), (1, "verify"))
+    assert out
+    if "json" in argv:  # only --output takes that value
+        json.loads(out, parse_constant=_reject_constant)

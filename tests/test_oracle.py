@@ -1,5 +1,7 @@
 """Tests for the brute-force maximization oracle."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +258,49 @@ class TestPolish:
         single = max(_kernels.polish(kind_id, b1, b2, func_id, 0.7, p.w1, p.w2, 12)[0]
                      for p in pts)
         assert batch[0] == pytest.approx(single, rel=1e-14, abs=0)
+
+
+@st.composite
+def schwarz_points(draw):
+    """A point of the Schur region |w1| <= 1, |w2| <= 1 - |w1|^2."""
+    r = draw(st.floats(0.0, 1.0))
+    rho = draw(st.floats(0.0, 1.0)) * (1.0 - r * r)
+    t1, t2 = draw(st.floats(0.0, 2 * cmath.pi)), draw(st.floats(0.0, 2 * cmath.pi))
+    return cmath.rect(r, t1), cmath.rect(rho, t2)
+
+
+def value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2):
+    """The functional at (w1, w2) and a bound on the size of its terms.
+
+    The tolerance is relative to the terms, not to the value, which can
+    cancel to zero.
+    """
+    a2, a3 = _kernels.a2a3(kind_id, b1, b2, w1, w2)
+    scale = (1.0 + abs(mu)) * (1.0 + abs(a2) ** 2 + abs(a3)) ** 2
+    return _kernels.functional(func_id, mu, a2, a3), scale
+
+
+class TestInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(schwarz_points(), st.sampled_from([0, 1]),
+           st.sampled_from([_kernels.T22, _kernels.T31, _kernels.FS]),
+           st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_conjugation(self, point, kind_id, func_id, b1, b2, mu):
+        # Real B1, B2 and mu: F(conj w1, conj w2) = F(w1, w2).
+        w1, w2 = point
+        base, scale = value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2)
+        conj, _ = value_and_scale(kind_id, b1, b2, func_id, mu,
+                                  w1.conjugate(), w2.conjugate())
+        assert abs(conj - base) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(schwarz_points(), st.sampled_from([0, 1]), st.floats(0.0, 2 * cmath.pi),
+           st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_fekete_szego_rotation(self, point, kind_id, theta, b1, b2, mu):
+        # w1 -> u w1, w2 -> u^2 w2 maps a2 -> u a2 and a3 -> u^2 a3, |u| = 1.
+        w1, w2 = point
+        u = cmath.exp(1j * theta)
+        base, scale = value_and_scale(kind_id, b1, b2, _kernels.FS, mu, w1, w2)
+        turned, _ = value_and_scale(kind_id, b1, b2, _kernels.FS, mu,
+                                    u * w1, u * u * w2)
+        assert abs(turned - base) <= 1e-12 * scale
