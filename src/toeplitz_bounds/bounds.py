@@ -78,10 +78,14 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
     m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
     t = m * b1 * b1 * mu
     if t <= b2 + b1 * b1 - b1:
-        return (b2 + b1 * b1 - m * mu * b1 * b1) / c3
-    if t <= b2 + b1 * b1 + b1:
-        return b1 / c3
-    return (-b2 - b1 * b1 + m * mu * b1 * b1) / c3
+        value = (b2 + b1 * b1 - m * mu * b1 * b1) / c3
+    elif t <= b2 + b1 * b1 + b1:
+        value = b1 / c3
+    else:
+        value = (-b2 - b1 * b1 + m * mu * b1 * b1) / c3
+    if not math.isfinite(value):
+        raise ValueError(f"the Fekete-Szego bound overflows a float at mu = {mu:g}")
+    return value
 
 
 def a2_bound(kind: ClassKind, b1: float) -> float:

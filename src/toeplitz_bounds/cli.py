@@ -16,6 +16,7 @@ stderr), 2 hypothesis failure under --strict.  Floats are rendered with
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from typing import Any
@@ -23,10 +24,15 @@ from typing import Any
 from . import catalog, oracle
 from .bounds import BoundReport, ClassKind, fekete_szego, full_report
 from .catalog import PhiSpec
-from .extremal import h_phi, k_phi, residual
+from .extremal import ExtremalFunction, h_phi, k_phi, residual
 from .oracle import OracleConfig, OracleResult
 
+# verify's tolerances, scaled by max(1, |bound|) and max(1, max |a_n|) so
+# that they keep their meaning at large B1: the bounds grow like B1^4 and
+# the extremal coefficients faster.  --tol, the oracle's allowed shortfall
+# below a sharp bound, stays absolute.
 SHARP_TOL = 1e-9
+RESIDUAL_TOL = 1e-10
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
@@ -139,11 +145,19 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _extremal(spec: PhiSpec, kind: ClassKind,
+              order: int) -> tuple[ExtremalFunction, float]:
+    """The extremal function of ``kind`` and its residual; overflow is an error."""
+    ef = (k_phi if kind is ClassKind.STARLIKE else h_phi)(spec, order=order)
+    if not all(map(cmath.isfinite, (*ef.coeffs, ef.t22_value, ef.t31_value))):
+        raise ValueError(f"the extremal function overflows a float at order {order}")
+    return ef, residual(ef, spec)
+
+
 def cmd_extremal(args) -> int:
     spec = spec_from_args(args)
     kind = ClassKind.parse(args.kind)
-    ef = (k_phi if kind is ClassKind.STARLIKE else h_phi)(spec, order=args.order)
-    res = residual(ef, spec)
+    ef, res = _extremal(spec, kind, args.order)
     if args.output == "json":
         doc = {
             "class": spec.kind,
@@ -193,19 +207,19 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         polish_steps=args.polish_steps,
     )
-    ef = (k_phi if kind is ClassKind.STARLIKE else h_phi)(spec, order=args.order)
-    res = residual(ef, spec)
+    ef, res = _extremal(spec, kind, args.order)
     lines = []
     all_ok = True
     frags = {"t22": (rep.t22, ef.t22_value), "t31": (rep.t31, ef.t31_value)}
+    found = oracle.maximize(kind, rep.b1, rep.b2, tuple(frags), cfg)
     oracle_docs = {}
-    for name, (frag, ext_val) in frags.items():
-        orc = oracle.maximize(kind, rep.b1, rep.b2, name, cfg)
+    for (name, (frag, ext_val)), orc in zip(frags.items(), found):
         oracle_docs[name] = oracle_to_json(orc)
         if frag.hypothesis_ok:
+            tol = SHARP_TOL * max(1.0, abs(frag.value))
             ok = (
-                abs(ext_val - frag.value) <= SHARP_TOL
-                and frag.value - args.tol <= orc.sup_estimate <= frag.value + SHARP_TOL
+                abs(ext_val - frag.value) <= tol
+                and frag.value - args.tol <= orc.sup_estimate <= frag.value + tol
             )
             all_ok = all_ok and ok
             lines.append(
@@ -217,7 +231,7 @@ def cmd_verify(args) -> int:
                 f"{name}: formula {frag.value:.9g}  oracle estimate "
                 f"{orc.sup_estimate:.9g}  estimate only (open case)"
             )
-    res_ok = res <= 1e-10
+    res_ok = res <= RESIDUAL_TOL * max(1.0, max(map(abs, ef.coeffs)))
     all_ok = all_ok and res_ok
     lines.append(f"residual: {res:.3e}  {'PASS' if res_ok else 'FAIL'}")
     if args.output == "json":

@@ -10,7 +10,9 @@ The search is deterministic for a fixed seed: boundary-biased random
 samples are drawn in independent shards (seed derived from the master seed
 and the shard index), distinguished candidate points are always included,
 and the best candidates are refined together by a projected pattern
-search.
+search.  One call may maximize several functionals over the same draws:
+each shard is sampled once and every functional is evaluated on it, which
+is how ``verify`` checks T2(2) and T3(1) with one pass of sampling.
 Results in the open hypothesis region are estimates, never bounds.
 
 numpy is imported inside the sampling functions, so it loads only when
@@ -147,13 +149,24 @@ def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate([w1b, w1i]), np.concatenate([w2b, w2i])
 
 
-def maximize(kind: ClassKind, b1: float, b2: float, functional: str,
-             config: OracleConfig = OracleConfig(), mu: float = 0.0) -> OracleResult:
-    """Deterministic maximum of a functional over the attainable region."""
+def maximize(kind: ClassKind, b1: float, b2: float,
+             functional: str | tuple[str, ...],
+             config: OracleConfig = OracleConfig(),
+             mu: float = 0.0) -> OracleResult | tuple[OracleResult, ...]:
+    """Deterministic maximum of one functional, or of several, over the region.
+
+    ``functional`` is one name or a tuple of names.  Each shard is drawn
+    once and every named functional is evaluated on its points, so a tuple
+    returns, in order, the results that separate calls return, bit for bit.
+    """
     import numpy as np
 
-    if functional not in _FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}")
+    names = (functional,) if isinstance(functional, str) else tuple(functional)
+    if not names:
+        raise ValueError("no functional to maximize")
+    for name in names:
+        if name not in _FUNCTIONALS:
+            raise ValueError(f"unknown functional {name!r}")
     if not b1 > 0:
         raise ValueError("B1 must be positive")
     if config.samples < 1:
@@ -161,12 +174,12 @@ def maximize(kind: ClassKind, b1: float, b2: float, functional: str,
 
     seed = config.resolved_seed()
     kind_id = _KIND_ID[kind]
-    func_id = _FUNCTIONALS.index(functional)
+    func_ids = [_FUNCTIONALS.index(name) for name in names]
     shards = max(1, config.shards)
     base, extra = divmod(config.samples, shards)
     top_k = max(1, config.top_candidates)
 
-    tops = []
+    tops = [[] for _ in names]  # per functional: each shard's top-k
     evaluated = 0
     for shard in range(min(shards, config.samples)):
         w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
@@ -174,23 +187,26 @@ def maximize(kind: ClassKind, b1: float, b2: float, functional: str,
             dw1, dw2 = np.array(DISTINGUISHED, dtype=np.complex128).T
             w1 = np.concatenate([dw1, w1])
             w2 = np.concatenate([dw2, w2])
-        vals = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
-        evaluated += len(vals)
-        keep = min(top_k, len(vals))
-        top = np.argpartition(vals, -keep)[-keep:]
-        tops.append((vals[top], w1[top], w2[top]))
+        evaluated += len(w1)
+        for func_id, shard_tops in zip(func_ids, tops):
+            vals = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
+            keep = min(top_k, len(vals))
+            top = np.argpartition(vals, -keep)[-keep:]
+            shard_tops.append((vals[top], w1[top], w2[top]))
 
-    vals, w1, w2 = map(np.concatenate, zip(*tops))
-    best = np.argsort(-vals, kind="stable")[:top_k]
-    sup, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1[best], w2[best],
-                                  config.polish_steps)
-
-    return OracleResult(
-        functional=functional,
-        mu=mu,
-        sup_estimate=sup,
-        argmax=SchwarzPoint(p1, p2),
-        samples=evaluated,
-        seed=seed,
-        polish_steps=config.polish_steps,
-    )
+    results = []
+    for name, func_id, shard_tops in zip(names, func_ids, tops):
+        vals, w1, w2 = map(np.concatenate, zip(*shard_tops))
+        best = np.argsort(-vals, kind="stable")[:top_k]
+        sup, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1[best], w2[best],
+                                      config.polish_steps)
+        results.append(OracleResult(
+            functional=name,
+            mu=mu,
+            sup_estimate=sup,
+            argmax=SchwarzPoint(p1, p2),
+            samples=evaluated,
+            seed=seed,
+            polish_steps=config.polish_steps,
+        ))
+    return results[0] if isinstance(functional, str) else tuple(results)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toeplitz_bounds
-from toeplitz_bounds import catalog
+from toeplitz_bounds import catalog, oracle
 from toeplitz_bounds.cli import main, render_json, render_table_csv, table_rows
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_table.csv"
@@ -182,6 +182,28 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["oracle"]["t22"]["seed"] == 12345
 
+    def test_samples_each_shard_once(self, capsys, monkeypatch):
+        # T2(2) and T3(1) share one pass of sampling: 8 shards, not 16.
+        drawn = []
+        sample = oracle._sample_shard
+
+        def counted(seed, shard, n):
+            drawn.append(shard)
+            return sample(seed, shard, n)
+
+        monkeypatch.setattr(oracle, "_sample_shard", counted)
+        code, _, _ = run(capsys, "verify", "--class", "sine", "--samples", "2000")
+        assert code == 0
+        assert drawn == list(range(8))
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    @pytest.mark.parametrize("b1, b2", [("100", "10000"), ("1000", "1e6")])
+    def test_large_b1_passes(self, capsys, kind, b1, b2):
+        # The values grow like B1^4: tolerances are relative to them.
+        code, out, _ = run(capsys, "verify", "--class", "custom", "--b1", b1,
+                           "--b2", b2, "--kind", kind, "--samples", "2000")
+        assert (code, out.count("PASS"), out.count("FAIL")) == (0, 3, 0)
+
 
 def one_error_line(capsys, argv):
     try:
@@ -212,10 +234,15 @@ def one_error_line(capsys, argv):
     ["table", "--bogus"],
     ["bounds", "--class", "custom", "--b1", "1e77"],
     ["verify", "--class", "custom", "--b1", "1e77", "--samples", "100"],
+    ["fs", "--class", "custom", "--b1", "10", "--mu", "1e308"],
+    ["fs", "--class", "custom", "--b1", "10", "--mu", "1e308", "--output", "json"],
+    ["extremal", "--class", "custom", "--b1", "1e150"],
+    ["extremal", "--class", "custom", "--b1", "1e150", "--output", "json"],
 ], ids=["b2-nan", "b1-inf", "mu-nan", "seed-negative", "polish-steps-negative",
         "tol-nan", "tol-negative", "tol-negative-exponent", "unknown-class",
         "missing-value", "missing-option", "unknown-kind", "unknown-flag",
-        "bounds-overflow", "verify-overflow"])
+        "bounds-overflow", "verify-overflow", "fs-overflow", "fs-overflow-json",
+        "extremal-overflow", "extremal-overflow-json"])
 def test_bad_input_is_one_error_line(capsys, argv):
     err = one_error_line(capsys, argv)
     if "--tol" in argv:

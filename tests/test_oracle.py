@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplitz_bounds import _kernels, catalog
+from toeplitz_bounds import _kernels, catalog, oracle
 from toeplitz_bounds.bounds import (
     ClassKind,
     fekete_szego,
@@ -17,6 +17,7 @@ from toeplitz_bounds.bounds import (
 from toeplitz_bounds.oracle import (
     OracleConfig,
     SchwarzPoint,
+    a2a3_from_caratheodory,
     a2a3_from_schwarz,
     caratheodory_crosscheck,
     eval_functional,
@@ -169,6 +170,29 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize(ST, 1, 0, "t23", FAST)
 
+    @pytest.mark.parametrize("names", [("t23",), ("t22", "t23"), ("t23", "t31", "fs"),
+                                       ("t22", "t31", "FS"), ()])
+    def test_rejects_bad_names_before_sampling(self, monkeypatch, names):
+        def forbidden(*args):
+            raise AssertionError("sampled before the names were checked")
+
+        monkeypatch.setattr(oracle, "_sample_shard", forbidden)
+        with pytest.raises(ValueError, match="functional"):
+            maximize(ST, 1, 0, names, FAST)
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("b1,b2", [(4 / 3, 2 / 3), (1.0, -0.9)],
+                             ids=["cardioid", "custom-1-0.9"])
+    @pytest.mark.parametrize("samples", [20_000, 20_003])
+    def test_several_functionals_match_separate_calls(self, kind, b1, b2, samples):
+        # One pass of sampling serves every functional, bit for bit.
+        cfg = OracleConfig(samples=samples, seed=7)
+        names = ("t22", "t31", "fs")
+        together = maximize(kind, b1, b2, names, cfg, mu=0.7)
+        separate = tuple(maximize(kind, b1, b2, name, cfg, mu=0.7) for name in names)
+        assert together == separate
+        assert repr(together) == repr(separate)  # -0.0 and 0.0 compare equal
+
     # Exact results at a fixed seed and budget: a change in the arithmetic
     # order of a kernel, or in the sampling, shows up here.
     @pytest.mark.parametrize("kind,b1,b2,name,mu,sup,w1,w2", [
@@ -304,3 +328,37 @@ class TestInvariance:
         turned, _ = value_and_scale(kind_id, b1, b2, _kernels.FS, mu,
                                     u * w1, u * u * w2)
         assert abs(turned - base) <= 1e-12 * scale
+
+
+class TestMaximumModulus:
+    """For fixed w1 each functional is |a polynomial in w2|, so its maximum
+    over the disc |w2| <= 1 - |w1|^2 lies on the circle.  The oracle's
+    search of the whole region rests on this reduction.
+
+    The interior value comes from the batch kernel the oracle samples with;
+    the circle is evaluated by the independent Caratheodory route, so a
+    change to the coefficient map that keeps it polynomial in w2 still
+    shows.
+    """
+
+    CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, _kernels.FS])
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.0, 1.0), t1=st.floats(0.0, 2 * cmath.pi),
+           shrink=st.floats(0.0, 0.99), t2=st.floats(0.0, 2 * cmath.pi),
+           b1=st.floats(0.01, 5.0), b2=st.floats(-5.0, 5.0), mu=st.floats(-5.0, 5.0))
+    def test_interior_is_at_most_the_circle(self, kind, func_id, r, t1, shrink, t2,
+                                            b1, b2, mu):
+        kind_id = 0 if kind is ST else 1
+        w1 = cmath.rect(r, t1)
+        cap = 1.0 - r * r
+        w2 = cmath.rect(shrink * cap, t2)
+        inside = _kernels.eval_batch(kind_id, b1, b2, func_id, mu,
+                                     np.array([w1]), np.array([w2]))[0]
+        a2, a3 = a2a3_from_caratheodory(kind, b1, b2, 2 * w1,
+                                        2 * (cap * self.CIRCLE + w1 * w1))
+        on_circle = _kernels.functional(func_id, mu, a2, a3).max()
+        _, scale = value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2)
+        assert inside <= on_circle + 1e-9 * scale
