@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .catalog import PhiSpec, b_coeffs, validate
+from .catalog import PhiSpec, _b12, validate
 
 HYP_SLACK = 1e-12
 
@@ -145,11 +145,11 @@ def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
 
 
 def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
-    """Aggregate every bound for one (phi, class kind) pair."""
+    """Every bound for one (phi, class kind) pair, from validate's one expansion of phi."""
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-    b1, b2 = b_coeffs(spec)
+    b1, b2 = _b12(spec, verdict.head)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
     if not (math.isfinite(t22.value) and math.isfinite(t31.value)):

@@ -90,6 +90,7 @@ TABLE: dict[str, PhiSpec] = {
 @dataclass(frozen=True)
 class Admissibility:
     violations: tuple[str, ...]
+    head: Series | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -97,7 +98,7 @@ class Admissibility:
 
 
 def validate(spec: PhiSpec) -> Admissibility:
-    """Check parameter ranges and the defining constraints phi(0)=1, B1>0."""
+    """Check parameter ranges, then phi(0)=1 and B1>0 on phi's order-3 expansion (head)."""
     bad: list[str] = []
     if spec.kind == "janowski":
         if spec.A is None or spec.B is None:
@@ -115,20 +116,18 @@ def validate(spec: PhiSpec) -> Admissibility:
         elif not all(cmath.isfinite(c) for c in spec.custom):
             bad.append("custom coefficients must be finite")
 
-    if not bad:
-        s = phi_series(spec, order=3)
-        if abs(s[0] - 1) > REAL_TOL:
-            bad.append("phi(0) = 1 violated")
-        b1 = s[1]
-        if abs(b1.imag) > REAL_TOL or b1.real <= 0:
-            bad.append("B1 > 0 violated")
-    return Admissibility(tuple(bad))
+    if bad:
+        return Admissibility(tuple(bad))
+    s = phi_series(spec, order=3)
+    if abs(s[0] - 1) > REAL_TOL:
+        bad.append("phi(0) = 1 violated")
+    if abs(s[1].imag) > REAL_TOL or s[1].real <= 0:
+        bad.append("B1 > 0 violated")
+    return Admissibility(tuple(bad), s)
 
 
 def _janowski_series(A: float, B: float, order: int) -> Series:
-    num = series.from_coeffs((1, A), order)
-    den = series.from_coeffs((1, B), order)
-    return series.div(num, den)
+    return series.div(series.from_coeffs((1, A), order), series.from_coeffs((1, B), order))
 
 
 def _exp_series(alpha: float, order: int) -> Series:
@@ -216,13 +215,17 @@ def closed_form_b12(spec: PhiSpec) -> tuple[float, float] | None:
 
 
 def b_coeffs(spec: PhiSpec) -> tuple[float, float]:
-    """(B1, B2) read off the expansion; must be real for catalog kinds.
+    """(B1, B2) read off phi's order-3 expansion; must be real for catalog kinds.
 
     For catalog kinds the values are cross-checked against the closed
     forms; a mismatch means the expansion machinery is broken.
     """
-    s = phi_series(spec, order=3)
-    b1, b2 = s[1], s[2]
+    return _b12(spec, phi_series(spec, order=3))
+
+
+def _b12(spec: PhiSpec, head: Series) -> tuple[float, float]:
+    """`b_coeffs` on an order-3 expansion already built (``validate``'s head)."""
+    b1, b2 = head[1], head[2]
     if abs(b1.imag) > REAL_TOL or abs(b2.imag) > REAL_TOL:
         raise ValueError("B1 and B2 must be real")
     known = closed_form_b12(spec)

@@ -11,8 +11,9 @@ trivially testable against hand expansions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 COMPOSE_TOL = 1e-12
 
@@ -50,20 +51,14 @@ class Series:
     def scale(self, factor: complex) -> "Series":
         return Series(tuple(factor * c for c in self.coeffs))
 
-    def truncate(self, order: int) -> "Series":
-        """Copy at the given order, padding with zeros if it is larger."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cs = self.coeffs[: order + 1]
-        return Series(cs + (0j,) * (order + 1 - len(cs)))
-
 
 def from_coeffs(coeffs: Iterable[complex], order: int | None = None) -> Series:
-    """Build a series from leading coefficients, zero-padded to `order`."""
-    cs = tuple(complex(c) for c in coeffs)
-    if order is None:
-        return Series(cs)
-    return Series(cs).truncate(order) if cs else zero(order)
+    """Build a series from leading coefficients, cut or zero-padded to `order`."""
+    if order is not None and order < 0:
+        raise ValueError("order must be >= 0")
+    cs = tuple(coeffs)
+    n = len(cs) if order is None else order + 1
+    return Series(cs[:n] + (0j,) * (n - len(cs)))
 
 
 def zero(order: int) -> Series:
@@ -192,8 +187,9 @@ def log(a: Series) -> Series:
 
 
 def max_abs_diff(a: Series, b: Series, upto: int | None = None) -> float:
-    """Largest coefficient magnitude of a-b up to the given index."""
+    """Largest coefficient magnitude of a-b up to the given index; nan if any is."""
     n = _common_order(a, b)
     if upto is None:
         upto = n
-    return max(abs(a.coeffs[k] - b.coeffs[k]) for k in range(upto + 1))
+    diffs = [abs(a.coeffs[k] - b.coeffs[k]) for k in range(upto + 1)]
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs)

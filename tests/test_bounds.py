@@ -201,6 +201,50 @@ class TestFullReport:
         assert len(rep.notes) == 2
 
 
+class TestOneExpansion:
+    """full_report expands phi once, in validate, and keeps every check."""
+
+    @pytest.mark.parametrize("spec", [
+        catalog.CARDIOID, catalog.janowski(0.5, -0.3), catalog.alpha_exponential(0.2),
+        catalog.custom(1.0, -0.9),
+    ])
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_phi_series_called_once(self, monkeypatch, spec, kind):
+        calls = []
+        expand = catalog.phi_series
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "phi_series", counted)
+        rep = full_report(spec, kind)
+        assert len(calls) == 1
+        assert (rep.b1, rep.b2) == catalog.b_coeffs(spec)
+        assert len(calls) == 2  # a bare b_coeffs still expands on its own
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_cross_check_fires(self, monkeypatch, kind):
+        b1, b2 = catalog.closed_form_b12(catalog.CARDIOID)
+        monkeypatch.setattr(catalog, "closed_form_b12", lambda spec: (b1, b2 + 1e-6))
+        with pytest.raises(AssertionError, match="expansion disagrees"):
+            full_report(catalog.CARDIOID, kind)
+        # an inadmissible spec is still rejected before the cross-check runs
+        with pytest.raises(ValueError, match="^inadmissible spec:"):
+            full_report(catalog.janowski(0.2, 0.8), kind)
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_complex_b2_rejected(self, kind):
+        with pytest.raises(ValueError, match="B1 and B2 must be real"):
+            full_report(catalog.custom(1, 0.5j), kind)
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_inadmissible_before_realness(self, kind):
+        # B1 is not real and B2 is not either: the admissibility error wins
+        with pytest.raises(ValueError, match="^inadmissible spec: B1 > 0 violated$"):
+            full_report(catalog.custom(0.5j, 0.5j), kind)
+
+
 # The per-kind formulas as they were written before the kinds shared one
 # definition; the shared code must reproduce them bit for bit.
 

@@ -1,5 +1,7 @@
 """Tests for the extremal functions and their defining-equation residuals."""
 
+import math
+
 import pytest
 
 from toeplitz_bounds import catalog, series
@@ -102,6 +104,12 @@ class TestResidual:
         coeffs[3] += 1e-3
         bad = ExtremalFunction(ef.kind, tuple(coeffs), ef.psi)
         assert residual(bad, spec) >= 1e-4
+
+    def test_overflow_is_nan_not_zero(self):
+        # a_4 overflows to nan-infj; max() alone would drop the nan defects
+        spec = catalog.custom(1e150)
+        assert math.isnan(residual(k_phi(spec, 10), spec))
+        assert math.isnan(residual(h_phi(spec, 10), spec))
 
     def test_convex_sensitivity(self):
         spec = catalog.SINE

@@ -71,6 +71,20 @@ class TestBasicOps:
         s = from_coeffs((1, 1, 1), 2)
         assert (s * s).coeffs == (1, 2, 3)
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_max_abs_diff_keeps_nan(self, at):
+        cs = [0j, 0j, 0j]
+        cs[at] = complex("nan")
+        a = from_coeffs((5, 0, 0), 2)
+        assert math.isnan(series.max_abs_diff(a, Series(tuple(cs))))
+
+    def test_from_coeffs_cuts_and_pads(self):
+        assert from_coeffs((1, 2, 3), 1).coeffs == (1, 2)
+        assert from_coeffs((), 2) == series.zero(2)
+        assert from_coeffs((1, 2)).order == 1
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            from_coeffs((1, 2), -2)
+
     def test_derive_power_rule(self):
         f = from_coeffs((0, 1, 2, 3), 3)
         assert series.derive(f).coeffs == (1, 4, 9, 0)
