@@ -5,8 +5,8 @@
 same expressions work on Python scalars and on numpy arrays; ``eval_batch``
 and ``polish`` evaluate arrays of Schwarz points with them.
 
-Encoding shared with :mod:`toeplitz_bounds.oracle`: kind_id 0=starlike
-1=convex, func_id 0=t22 1=t31 2=fs(mu).
+Encoding: kind_id is ``ClassKind.id`` (0=starlike 1=convex), func_id
+0=t22 1=t31 2=fs(mu) as in :mod:`toeplitz_bounds.oracle`.
 """
 
 from __future__ import annotations

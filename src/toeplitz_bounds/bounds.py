@@ -5,23 +5,23 @@ the first two target coefficients (B1, B2).  Each formula is written once
 for both kinds.  By Alexander's relation, f is convex exactly when z f' is
 starlike, so the convex a_n is the starlike a_n divided by n.  At the
 extremal point |a2| = B1/c2 and |a3| = |B2 + B1^2|/c3, with (c2, c3) =
-(1, 2) for starlike and (2, 6) for convex (the table SCALE).
+(1, 2) for starlike and (2, 6) for convex (``ClassKind.scale``).
 
 Each determinant bound comes with a hypothesis verdict: the formula value
 is always computed, but it is only a proven sharp bound when the
 hypothesis inequalities hold.  Callers must treat flagged values as
 estimates.
 
-Hypothesis comparisons carry a 1e-12 slack toward acceptance because every
-inequality admits equality (the sine family sits exactly on the T2(2)
-boundary B1 = |B2 + B1^2|).
+Hypothesis comparisons carry a slack of 1e-12 * max(1, B1^2, |B2|), the size
+of the terms compared, toward acceptance: every inequality admits equality
+(sine sits on the T2(2) boundary B1 = |B2 + B1^2|), even after rounding.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import PhiSpec, _b12, validate
 
@@ -29,8 +29,14 @@ HYP_SLACK = 1e-12
 
 
 class ClassKind(enum.Enum):
-    STARLIKE = "starlike"
-    CONVEX = "convex"
+    # id is the kernels' kind_id and scale is (c2, c3); attributes, so no lookup hashes
+    STARLIKE = "starlike", 0, (1, 2)
+    CONVEX = "convex", 1, (2, 6)
+
+    def __new__(cls, value: str, kind_id: int, scale: tuple[int, int]):
+        member = object.__new__(cls)
+        member._value_, member.id, member.scale = value, kind_id, scale
+        return member
 
     @classmethod
     def parse(cls, text: str) -> "ClassKind":
@@ -40,20 +46,17 @@ class ClassKind(enum.Enum):
             raise ValueError(f"unknown class kind {text!r}") from None
 
 
-# (c2, c3): at the extremal point |a2| = B1/c2 and |a3| = |B2 + B1^2|/c3.
-SCALE = {ClassKind.STARLIKE: (1, 2), ClassKind.CONVEX: (2, 6)}
+SCALE = {kind: kind.scale for kind in ClassKind}
 
 
-@dataclass(frozen=True)
-class BoundFragment:
+class BoundFragment(NamedTuple):
     """A determinant bound value plus whether its hypothesis holds."""
 
     value: float
     hypothesis_ok: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     kind: ClassKind
     b1: float
     b2: float
@@ -74,7 +77,7 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
     _require_b1(b1)
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    c2, c3 = SCALE[kind]
+    c2, c3 = kind.scale
     m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
     t = m * b1 * b1 * mu
     if t <= b2 + b1 * b1 - b1:
@@ -90,7 +93,7 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
 
 def a2_bound(kind: ClassKind, b1: float) -> float:
     _require_b1(b1)
-    return b1 / SCALE[kind][0]
+    return b1 / kind.scale[0]
 
 
 def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
@@ -100,15 +103,15 @@ def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
 def t22_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     """Bound on |a3^2 - a2^2|; proven sharp when B1 <= |B2 + B1^2|."""
     _require_b1(b1)
-    c2, c3 = SCALE[kind]
+    c2, c3 = kind.scale
     s = b2 + b1 * b1
     value = s * s / (c3 * c3) + b1 * b1 / (c2 * c2)
-    return BoundFragment(value, b1 <= abs(s) + HYP_SLACK)
+    return BoundFragment(value, b1 <= abs(s) + HYP_SLACK * max(1.0, b1 * b1, abs(b2)))
 
 
 def _t31_interval(kind: ClassKind, b1: float) -> tuple[float, float, float]:
     """(lo, hi, k): T3(1) is proven sharp for lo <= B2 <= hi = k*B1^2 - B1."""
-    c2, c3 = SCALE[kind]
+    c2, c3 = kind.scale
     k = 2 * c3 / (c2 * c2) - 1
     return b1 - b1 * b1, k * b1 * b1 - b1, k
 
@@ -120,11 +123,12 @@ def t31_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     or k = 2 (convex).
     """
     _require_b1(b1)
-    c2, c3 = SCALE[kind]
+    c2, c3 = kind.scale
     lo, hi, k = _t31_interval(kind, b1)
     s = b2 + b1 * b1
     value = 1 + 2 * b1 * b1 / (c2 * c2) + s * (k * b1 * b1 - b2) / (c3 * c3)
-    return BoundFragment(value, (lo - HYP_SLACK <= b2) and (b2 <= hi + HYP_SLACK))
+    slack = HYP_SLACK * max(1.0, b1 * b1, abs(b2))
+    return BoundFragment(value, lo - slack <= b2 <= hi + slack)
 
 
 def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
@@ -155,12 +159,6 @@ def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
     if not (math.isfinite(t22.value) and math.isfinite(t31.value)):
         raise ValueError(f"the bounds overflow a float at B1 = {b1:g}, B2 = {b2:g}")
     return BoundReport(
-        kind=kind,
-        b1=b1,
-        b2=b2,
-        a2_bound=a2_bound(kind, b1),
-        a3_bound=a3_bound(kind, b1, b2),
-        t22=t22,
-        t31=t31,
-        notes=tuple(_hypothesis_notes(kind, b1, b2, t22, t31)),
-    )
+        kind=kind, b1=b1, b2=b2, a2_bound=a2_bound(kind, b1),
+        a3_bound=a3_bound(kind, b1, b2), t22=t22, t31=t31,
+        notes=tuple(_hypothesis_notes(kind, b1, b2, t22, t31)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import series
 from .series import Series
@@ -28,8 +28,15 @@ PARAMS: dict[str, tuple[str, ...]] = {
 KINDS = tuple(PARAMS)
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class _PhiFields(NamedTuple):
+    kind: str
+    A: float | None = None
+    B: float | None = None
+    alpha: float | None = None
+    custom: tuple[complex, ...] = ()
+
+
+class PhiSpec(_PhiFields):
     """A target function selection with its parameters.
 
     kind:   one of KINDS.
@@ -38,15 +45,12 @@ class PhiSpec:
     custom: leading coefficients (B1, B2, ...) for kind "custom".
     """
 
-    kind: str
-    A: float | None = None
-    B: float | None = None
-    alpha: float | None = None
-    custom: tuple[complex, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown phi kind {self.kind!r}")
+    def __new__(cls, kind: str, *args, **kwargs):
+        if kind not in KINDS:
+            raise ValueError(f"unknown phi kind {kind!r}")
+        return super().__new__(cls, kind, *args, **kwargs)
 
     def describe_params(self) -> dict:
         if self.kind == "custom":
@@ -87,10 +91,20 @@ TABLE: dict[str, PhiSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     violations: tuple[str, ...]
-    head: Series | None = field(default=None, compare=False, repr=False)
+    head: Series | None = None  # validate's order-3 expansion; not in ==, hash or repr
+
+    def __eq__(self, other):
+        return isinstance(other, Admissibility) and self.violations == other.violations
+
+    __ne__ = object.__ne__  # tuple's own != would compare head
+
+    def __hash__(self) -> int:
+        return hash(self.violations)
+
+    def __repr__(self) -> str:
+        return f"Admissibility(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

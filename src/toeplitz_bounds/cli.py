@@ -90,16 +90,8 @@ def report_to_json(spec: PhiSpec, report: BoundReport) -> dict:
         "b2": report.b2,
         "a2_bound": report.a2_bound,
         "a3_bound": report.a3_bound,
-        "t22": {
-            "value": report.t22.value,
-            "hypothesis_ok": report.t22.hypothesis_ok,
-            "sharp": report.t22.hypothesis_ok,
-        },
-        "t31": {
-            "value": report.t31.value,
-            "hypothesis_ok": report.t31.hypothesis_ok,
-            "sharp": report.t31.hypothesis_ok,
-        },
+        "t22": {**report.t22._asdict(), "sharp": report.t22.hypothesis_ok},
+        "t31": {**report.t31._asdict(), "sharp": report.t31.hypothesis_ok},
         "notes": list(report.notes),
     }
 

@@ -13,7 +13,7 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels, series
 from .bounds import ClassKind
@@ -21,8 +21,7 @@ from .catalog import PhiSpec, phi_series, validate
 from .series import Series
 
 
-@dataclass(frozen=True)
-class ExtremalFunction:
+class ExtremalFunction(NamedTuple):
     kind: ClassKind
     coeffs: tuple[complex, ...]  # (a0, a1, a2, ...) with a0 = 0, a1 = 1
     psi: Series  # coefficients of phi(i z)

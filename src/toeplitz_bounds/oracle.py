@@ -23,7 +23,7 @@ cost.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .bounds import ClassKind
@@ -32,7 +32,6 @@ REGION_TOL = 1e-12
 SEED_ENV = "TOEPLITZ_BOUNDS_SEED"
 
 _FUNCTIONALS = ("t22", "t31", "fs")
-_KIND_ID = {ClassKind.STARLIKE: 0, ClassKind.CONVEX: 1}
 
 # Always-evaluated candidates: the theorem witnesses sit at (+-i, 0) and
 # (+-1, 0); the pure-w2 points pick up the middle Fekete-Szego branch.
@@ -51,8 +50,7 @@ def default_seed() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class SchwarzPoint:
+class SchwarzPoint(NamedTuple):
     """First two Taylor coefficients of a Schwarz function."""
 
     w1: complex
@@ -63,8 +61,7 @@ class SchwarzPoint:
         return r <= 1 + tol and abs(self.w2) <= 1 - r * r + tol
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     samples: int = 200_000
     seed: int | None = None
     polish_steps: int = 40
@@ -75,8 +72,7 @@ class OracleConfig:
         return default_seed() if self.seed is None else self.seed
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     functional: str
     mu: float
     sup_estimate: float
@@ -91,7 +87,7 @@ def a2a3_from_schwarz(kind: ClassKind, b1: float, b2: float,
     """(a2, a3) of the family member realizing the Schwarz point."""
     if not p.in_region():
         raise ValueError(f"point outside the attainable region: {p}")
-    return _kernels.a2a3(_KIND_ID[kind], b1, b2, p.w1, p.w2)
+    return _kernels.a2a3(kind.id, b1, b2, p.w1, p.w2)
 
 
 def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
@@ -173,7 +169,6 @@ def maximize(kind: ClassKind, b1: float, b2: float,
         raise ValueError("sample budget must be at least 1")
 
     seed = config.resolved_seed()
-    kind_id = _KIND_ID[kind]
     func_ids = [_FUNCTIONALS.index(name) for name in names]
     shards = max(1, config.shards)
     base, extra = divmod(config.samples, shards)
@@ -189,7 +184,7 @@ def maximize(kind: ClassKind, b1: float, b2: float,
             w2 = np.concatenate([dw2, w2])
         evaluated += len(w1)
         for func_id, shard_tops in zip(func_ids, tops):
-            vals = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
+            vals = _kernels.eval_batch(kind.id, b1, b2, func_id, mu, w1, w2)
             keep = min(top_k, len(vals))
             top = np.argpartition(vals, -keep)[-keep:]
             shard_tops.append((vals[top], w1[top], w2[top]))
@@ -198,15 +193,9 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     for name, func_id, shard_tops in zip(names, func_ids, tops):
         vals, w1, w2 = map(np.concatenate, zip(*shard_tops))
         best = np.argsort(-vals, kind="stable")[:top_k]
-        sup, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1[best], w2[best],
+        sup, p1, p2 = _kernels.polish(kind.id, b1, b2, func_id, mu, w1[best], w2[best],
                                       config.polish_steps)
         results.append(OracleResult(
-            functional=name,
-            mu=mu,
-            sup_estimate=sup,
-            argmax=SchwarzPoint(p1, p2),
-            samples=evaluated,
-            seed=seed,
-            polish_steps=config.polish_steps,
-        ))
+            functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
+            samples=evaluated, seed=seed, polish_steps=config.polish_steps))
     return results[0] if isinstance(functional, str) else tuple(results)

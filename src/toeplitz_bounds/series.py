@@ -12,22 +12,36 @@ trivially testable against hand expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 COMPOSE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class Series:
     """Coefficients (c0, c1, ..., cN) of a power series truncated at z^N."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[complex, ...]):
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
+
+    def __setattr__(self, name, *value):  # frozen, like the other records
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Series(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is Series else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __reduce__(self):
+        return Series, (self.coeffs,)
 
     @property
     def order(self) -> int:

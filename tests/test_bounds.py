@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toeplitz_bounds import catalog
+from toeplitz_bounds import bounds, catalog, oracle
 from toeplitz_bounds.bounds import (
     HYP_SLACK,
     ClassKind,
@@ -199,6 +199,61 @@ class TestFullReport:
         rep = full_report(catalog.custom(1.0, -0.9), ST)
         assert not rep.t22.hypothesis_ok
         assert len(rep.notes) == 2
+
+
+class TestKindAttributes:
+    """(c2, c3) and the kernels' kind id are attributes of the ClassKind member."""
+
+    def test_values(self):
+        assert (ST.scale, CV.scale) == ((1, 2), (2, 6))
+        assert (ST.id, CV.id) == (0, 1)
+        assert ClassKind("convex") is CV and CV.value == "convex"
+        assert bounds.SCALE == {ST: (1, 2), CV: (2, 6)}
+
+    def test_no_kind_is_hashed(self, monkeypatch):
+        calls = []
+        enum_hash = ClassKind.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return enum_hash(self)
+
+        monkeypatch.setattr(ClassKind, "__hash__", counted)
+        assert {ST: 0}[ST] == 0 and calls == [ST, ST]  # the counter sees dict lookups
+        calls.clear()
+        cfg = oracle.OracleConfig(samples=64, seed=1, polish_steps=2)
+        for spec in (catalog.CARDIOID, catalog.custom(1.0, -0.9)):
+            for kind in ClassKind:
+                rep = full_report(spec, kind)
+                fekete_szego(kind, rep.b1, rep.b2, 0.7)
+                oracle.maximize(kind, rep.b1, rep.b2, ("t22", "t31"), cfg)
+                oracle.a2a3_from_schwarz(kind, rep.b1, rep.b2, oracle.SchwarzPoint(1j, 0j))
+        assert calls == []
+
+
+big_b1 = st.floats(10, 1e4)
+K = {ST: 3, CV: 2}  # T3(1) is proven sharp for B1 - B1^2 <= B2 <= K*B1^2 - B1
+
+
+class TestRelativeSlack:
+    """At large B1 float rounding alone must not move a boundary cell out."""
+
+    @given(big_b1)
+    def test_boundary_cells_accepted(self, b1):
+        for kind in (ST, CV):
+            assert t31_bound(kind, b1, b1 * (1 - b1)).hypothesis_ok
+            assert t31_bound(kind, b1, b1 * (K[kind] * b1 - 1)).hypothesis_ok
+            assert t22_bound(kind, b1, b1 * (1 - b1)).hypothesis_ok  # B2 + B1^2 = B1
+            assert t22_bound(kind, b1, -b1 * (1 + b1)).hypothesis_ok  # = -B1
+
+    @given(big_b1)
+    def test_cells_just_outside_rejected(self, b1):
+        gap = 1e-9 * b1 * b1
+        for kind in (ST, CV):
+            assert not t31_bound(kind, b1, b1 * (1 - b1) - gap).hypothesis_ok
+            assert not t31_bound(kind, b1, b1 * (K[kind] * b1 - 1) + gap).hypothesis_ok
+            assert not t22_bound(kind, b1, b1 * (1 - b1) - gap).hypothesis_ok
+            assert not t22_bound(kind, b1, -b1 * (1 + b1) + gap).hypothesis_ok
 
 
 class TestOneExpansion:

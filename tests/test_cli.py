@@ -296,6 +296,30 @@ print(code, *loaded)
     assert proc.stdout.split() == ["0"] + ["False"] * 5 + ["True"]
 
 
+def test_cold_start_loads_no_dataclasses():
+    # dataclasses would pull in inspect (and with it ast, dis and tokenize)
+    # and generate its record methods through exec on every cold start.
+    script = """
+import contextlib, io, sys
+import toeplitz_bounds.cli
+watched = ('dataclasses', 'inspect')
+loaded = [[m for m in watched if m in sys.modules]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["bounds", "--class", "sine", "--kind", "both"],
+                 ["fs", "--class", "sine", "--mu", "0.5"],
+                 ["extremal", "--class", "lune", "--kind", "convex"],
+                 ["table"]):
+        assert toeplitz_bounds.cli.main(argv) == 0, argv
+        loaded.append([m for m in watched if m in sys.modules])
+print(loaded)
+"""
+    src = str(pathlib.Path(toeplitz_bounds.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([[]] * 5)
+
+
 # -- fuzz ------------------------------------------------------------------
 
 def _reject_constant(token):
