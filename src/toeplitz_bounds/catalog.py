@@ -141,12 +141,20 @@ def validate(spec: PhiSpec) -> Admissibility:
 
 
 def _janowski_series(A: float, B: float, order: int) -> Series:
-    return series.div(series.from_coeffs((1, A), order), series.from_coeffs((1, B), order))
+    # (1+Az)/(1+Bz) = 1 + sum_{n>=1} (A-B)(-B)^(n-1) z^n, one factor -B per
+    # step; 0.0 - B*c, not c*-B, so that B = 0 and underflow give +0.0
+    cs = [1.0, A - B]
+    while len(cs) <= order:
+        cs.append(0.0 - B * cs[-1])
+    return Series(tuple(cs))
 
 
 def _exp_series(alpha: float, order: int) -> Series:
-    e = series.exp(series.z(order))
-    return series.from_coeffs((alpha,), order) + e.scale(1 - alpha)
+    # alpha + (1-alpha) e^z, with 1/n! as e_n = e_(n-1)/n
+    e = [1.0]
+    for n in range(1, order + 1):
+        e.append(e[-1] / n)
+    return Series((alpha + (1 - alpha),) + tuple((1 - alpha) * c for c in e[1:]))
 
 
 def _lune_series(order: int) -> Series:

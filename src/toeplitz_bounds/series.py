@@ -4,9 +4,10 @@ A series of order N stores exactly the coefficients of z^0 .. z^N; every
 operation truncates its result at the common order.  All values are
 immutable and all operations are pure, so series can be shared freely.
 
-Division, square root, exp and log use the direct coefficient recurrences
-rather than Newton iteration: they are exact at the truncation order and
-trivially testable against hand expansions.
+Only what the package runs lives here: +, -, the Cauchy product,
+composition and the square root of a series with constant term 1.  Maps
+whose Taylor coefficients have a closed form (janowski, exp) are built
+from it in ``catalog``.
 """
 
 from __future__ import annotations
@@ -51,16 +52,15 @@ class Series:
         return self.coeffs[n]
 
     def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
+        _common_order(self, other)
+        return Series(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
-        return sub(self, other)
+        _common_order(self, other)
+        return Series(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "Series") -> "Series":
         return mul(self, other)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        return div(self, other)
 
     def scale(self, factor: complex) -> "Series":
         return Series(tuple(factor * c for c in self.coeffs))
@@ -73,10 +73,6 @@ def from_coeffs(coeffs: Iterable[complex], order: int | None = None) -> Series:
     cs = tuple(coeffs)
     n = len(cs) if order is None else order + 1
     return Series(cs[:n] + (0j,) * (n - len(cs)))
-
-
-def zero(order: int) -> Series:
-    return Series((0j,) * (order + 1))
 
 
 def one(order: int) -> Series:
@@ -93,16 +89,6 @@ def _common_order(a: Series, b: Series) -> int:
     return a.order
 
 
-def add(a: Series, b: Series) -> Series:
-    _common_order(a, b)
-    return Series(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def sub(a: Series, b: Series) -> Series:
-    _common_order(a, b)
-    return Series(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at the common order."""
     n = _common_order(a, b)
@@ -113,20 +99,6 @@ def mul(a: Series, b: Series) -> Series:
         for j in range(n + 1 - i):
             out[i + j] += ai * b.coeffs[j]
     return Series(tuple(out))
-
-
-def div(a: Series, b: Series) -> Series:
-    """Quotient q with mul(q, b) == a at the truncation order."""
-    n = _common_order(a, b)
-    if b.coeffs[0] == 0:
-        raise ValueError("division by a series with zero constant term")
-    q = [0j] * (n + 1)
-    for m in range(n + 1):
-        acc = a.coeffs[m]
-        for k in range(1, m + 1):
-            acc -= b.coeffs[k] * q[m - k]
-        q[m] = acc / b.coeffs[0]
-    return Series(tuple(q))
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -142,14 +114,6 @@ def compose(outer: Series, inner: Series) -> Series:
     return r
 
 
-def derive(a: Series) -> Series:
-    """Termwise derivative, zero-padded back to the input order."""
-    n = a.order
-    out = [(k + 1) * a.coeffs[k + 1] for k in range(n)]
-    out.append(0j)
-    return Series(tuple(out))
-
-
 def sqrt1p(a: Series) -> Series:
     """Square root of a series with constant term 1, branch with s(0)=1."""
     n = a.order
@@ -163,41 +127,6 @@ def sqrt1p(a: Series) -> Series:
             acc -= s[k] * s[m - k]
         s[m] = acc / 2
     return Series(tuple(s))
-
-
-def exp(a: Series) -> Series:
-    """Formal exponential; requires zero constant term.
-
-    Uses the recurrence m*e_m = sum_{k=1}^{m} k*a_k*e_{m-k} obtained from
-    e' = a'*e.
-    """
-    n = a.order
-    if a.coeffs[0] != 0:
-        raise ValueError("exp requires zero constant term")
-    e = [0j] * (n + 1)
-    e[0] = 1
-    for m in range(1, n + 1):
-        acc = 0j
-        for k in range(1, m + 1):
-            acc += k * a.coeffs[k] * e[m - k]
-        e[m] = acc / m
-    return Series(tuple(e))
-
-
-def log(a: Series) -> Series:
-    """Formal logarithm; requires constant term 1.
-
-    Integrates a'/a: the quotient is exact at indices <= N-1, which is all
-    the integration consumes.
-    """
-    n = a.order
-    if a.coeffs[0] != 1:
-        raise ValueError("log requires constant term exactly 1")
-    d = div(derive(a), a)
-    out = [0j] * (n + 1)
-    for m in range(1, n + 1):
-        out[m] = d.coeffs[m - 1] / m
-    return Series(tuple(out))
 
 
 def max_abs_diff(a: Series, b: Series, upto: int | None = None) -> float:

@@ -161,6 +161,7 @@ def test_criterion_6_property_suites():
         from toeplitz_bounds.oracle import SchwarzPoint, caratheodory_crosscheck
 
         rng = np.random.default_rng(42)
+        params = np.random.default_rng(43)
         order = 6
         for _ in range(50):
             def rand():
@@ -172,14 +173,18 @@ def test_criterion_6_property_suites():
             assert series.max_abs_diff(
                 series.mul(series.mul(a, b), c), series.mul(a, series.mul(b, c))
             ) <= 1e-10
-            b1 = series.Series((1,) + b.coeffs[1:])
+            # the closed-form expansions against their defining identities,
+            # on parameters from their own generator: `rng`'s draws for the
+            # other checks do not depend on these
+            B, A = sorted(params.uniform(-1, 1, 2))
+            jan = catalog.phi_series(catalog.janowski(A, B), order)
             assert series.max_abs_diff(
-                series.mul(series.div(a, b1), b1), a
-            ) <= 1e-10
-            s0 = series.Series((0j,) + a.scale(0.1).coeffs[1:])
-            assert series.max_abs_diff(
-                series.log(series.exp(s0)), s0
-            ) <= 1e-10
+                series.mul(jan, series.from_coeffs((1, B), order)),
+                series.from_coeffs((1, A), order),
+            ) <= 1e-15
+            ex = catalog.phi_series(catalog.alpha_exponential(params.uniform(0, 1)), order)
+            assert all(abs((n + 1) * ex[n + 1] - ex[n]) <= 1e-15 * abs(ex[n])
+                       for n in range(1, order))
             u = series.Series((1,) + a.scale(0.2).coeffs[1:])
             r = series.sqrt1p(u)
             assert series.max_abs_diff(series.mul(r, r), u) <= 1e-10

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from toeplitz_bounds import bounds, catalog, oracle
@@ -319,8 +319,12 @@ def ref_fekete_szego(kind, b1, b2, mu):
     return (-b2 - b1 * b1 + 1.5 * mu * b1 * b1) / 6
 
 
+def ref_slack(b1, b2):
+    return HYP_SLACK * max(1, b1 * b1, abs(b2))
+
+
 def ref_t22(kind, b1, b2):
-    hyp = b1 <= abs(b2 + b1 * b1) + HYP_SLACK
+    hyp = b1 <= abs(b2 + b1 * b1) + ref_slack(b1, b2)
     s = b2 + b1 * b1
     if kind is ST:
         return s * s / 4 + b1 * b1, hyp
@@ -335,7 +339,8 @@ def ref_t31(kind, b1, b2):
     else:
         hi = 2 * b1 * b1 - b1
         value = 1 + b1 * b1 / 2 + (b2 + b1 * b1) * (2 * b1 * b1 - b2) / 36
-    return value, (lo - HYP_SLACK <= b2) and (b2 <= hi + HYP_SLACK)
+    slack = ref_slack(b1, b2)
+    return value, (lo - slack <= b2) and (b2 <= hi + slack)
 
 
 def ref_notes(kind, b1, b2):
@@ -367,8 +372,22 @@ wide_b1 = st.floats(0, 1e6, exclude_min=True)
 wide = st.floats(-1e6, 1e6)
 
 
+def on_large_b1_boundaries(test):
+    """Independent draws never land on a boundary; these cells do, at large B1.
+
+    The B1 values are ones where an absolute slack of HYP_SLACK flips the
+    verdict on at least one cell: B2 + B1^2 = +-B1, B2 = B1 - B1^2 and
+    B2 = k*B1^2 - B1 for k = 3 and 2.
+    """
+    for b1 in (1352.2987986828882, 8475.863032002955, 9453.254248583684):
+        for b2 in (b1 * (1 - b1), -b1 * (1 + b1), b1 * (3 * b1 - 1), b1 * (2 * b1 - 1)):
+            test = example(b1, b2, 0.5)(test)
+    return test
+
+
 class TestOneDefinitionPerFormula:
     @given(wide_b1, wide, wide)
+    @on_large_b1_boundaries
     def test_bitwise_equal_to_per_kind_formulas(self, b1, b2, mu):
         for kind in (ST, CV):
             assert same(fekete_szego(kind, b1, b2, mu), ref_fekete_szego(kind, b1, b2, mu))

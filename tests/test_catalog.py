@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toeplitz_bounds import catalog, series
 from toeplitz_bounds.catalog import PhiSpec, b_coeffs, phi_series, validate
@@ -115,3 +117,71 @@ class TestValidate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PhiSpec("koebe")
+
+
+# The janowski and exp expansions as they were built before the closed
+# forms: series division of 1+Az by 1+Bz, and the formal exponential of z
+# through e' = z'e, both in complex arithmetic.  phi_series must give the
+# same repr, which also tells apart 0.0 and -0.0.
+
+def ref_janowski(A, B, order):
+    pad = (0j,) * (order - 1)
+    a, b = (1 + 0j, complex(A)) + pad, (1 + 0j, complex(B)) + pad
+    q = [0j] * (order + 1)
+    for m in range(order + 1):
+        acc = a[m]
+        for k in range(1, m + 1):
+            acc -= b[k] * q[m - k]
+        q[m] = acc / b[0]
+    return tuple(q)
+
+
+def ref_exp(alpha, order):
+    zs = (0j, 1 + 0j) + (0j,) * (order - 1)
+    e = [0j] * (order + 1)
+    e[0] = 1
+    for m in range(1, order + 1):
+        acc = 0j
+        for k in range(1, m + 1):
+            acc += k * zs[k] * e[m - k]
+        e[m] = acc / m
+    const = (complex(alpha),) + (0j,) * order
+    return tuple(x + (1 - alpha) * complex(c) for x, c in zip(const, e))
+
+
+UNIT = st.floats(-1, 1)
+ALPHAS = st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True))
+ORDERS = st.integers(2, 400)
+
+
+class TestClosedForms:
+    @settings(deadline=None)
+    @given(UNIT, st.one_of(st.sampled_from([0.0, -1.0, 1e-300]), UNIT), ORDERS)
+    @example(0.5, 0.0, 400)  # B = 0
+    @example(1.0, -1.0, 400)  # the classical half-plane map
+    @example(0.75, 0.5, 400)  # B > 0
+    def test_janowski_matches_series_division(self, A, B, order):
+        got = phi_series(catalog.janowski(A, B), order)
+        assert repr(got.coeffs) == repr(ref_janowski(A, B, order))
+        # (1 + Az)/(1 + Bz) times 1 + Bz
+        prod = series.mul(got, from_coeffs((1, B), order))
+        assert series.max_abs_diff(prod, from_coeffs((1, A), order)) <= 1e-15
+
+    @settings(deadline=None)
+    @given(ALPHAS, ORDERS)
+    @example(0.0, 400)
+    def test_order_alpha_matches_series_division(self, alpha, order):
+        got = phi_series(catalog.order_alpha(alpha), order)
+        assert repr(got.coeffs) == repr(ref_janowski(1 - 2 * alpha, -1.0, order))
+
+    @settings(deadline=None)
+    @given(ALPHAS, ORDERS)
+    @example(0.0, 400)
+    def test_exp_matches_formal_exponential(self, alpha, order):
+        got = phi_series(catalog.alpha_exponential(alpha), order).coeffs
+        assert repr(got) == repr(ref_exp(alpha, order))
+        # alpha + (1 - alpha) e^z: (n+1) c_(n+1) = c_n for n >= 1
+        assert got[1] == 1 - alpha
+        for n in range(1, order):
+            assert math.isclose((n + 1) * got[n + 1].real, got[n].real,
+                                rel_tol=1e-15, abs_tol=1e-300)
