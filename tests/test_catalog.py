@@ -185,3 +185,56 @@ class TestClosedForms:
         for n in range(1, order):
             assert math.isclose((n + 1) * got[n + 1].real, got[n].real,
                                 rel_tol=1e-15, abs_tol=1e-300)
+
+
+def positive_zeros(cs):
+    """True when every zero part of every coefficient is +0.0."""
+    return all(math.copysign(1, x) == 1
+               for c in cs for x in (c.real, c.imag) if x == 0)
+
+
+class TestClosedFormValues:
+    """The values the series division and exponential were checked on, now
+    checked on the closed forms that replaced them."""
+
+    def test_geometric(self):
+        # (1+z)/(1-z) = 1 + 2z + 2z^2 + ..., exactly
+        assert phi_series(catalog.janowski(1, -1), order=3).coeffs == (1, 2, 2, 2)
+
+    def test_janowski_coefficients(self):
+        # (1+Az)/(1+Bz) = 1 + (A-B)z - B(A-B)z^2 + ... with A=.5, B=-.5
+        assert phi_series(catalog.janowski(0.5, -0.5), order=2).coeffs == (1, 1, 0.5)
+
+    def test_equal_parameters_give_one(self):
+        for a in (-0.3, 0.0, 0.3):
+            got = phi_series(catalog.janowski(a, a), order=6)
+            assert got == series.one(6)
+            assert positive_zeros(got.coeffs)
+
+    def test_b_zero_tail_is_positive_zero(self):
+        got = phi_series(catalog.janowski(0.5, 0.0), order=6).coeffs
+        assert got[:2] == (1, 0.5)
+        assert got[2:] == (0,) * 5
+        assert positive_zeros(got)
+
+    def test_underflow_gives_positive_zero(self):
+        got = phi_series(catalog.janowski(1.0, 1e-300), order=5).coeffs
+        assert got[2] == -1e-300
+        assert got[3:] == (0,) * 3
+        assert positive_zeros(got)
+
+    def test_exp_series(self):
+        s = phi_series(catalog.alpha_exponential(0.0), order=3)
+        assert close(s, from_coeffs((1, 1, 0.5, 1 / 6), 3), 1e-15)
+
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-0.5, 0.5))
+    def test_janowski_sums_to_the_map(self, A, B, r):
+        cs = phi_series(catalog.janowski(A, B), order=60).coeffs
+        value = sum(c * r**n for n, c in enumerate(cs))
+        assert abs(value - (1 + A * r) / (1 + B * r)) <= 1e-12
+
+    @given(ALPHAS, st.floats(-1, 1))
+    def test_exp_sums_to_the_map(self, alpha, r):
+        cs = phi_series(catalog.alpha_exponential(alpha), order=30).coeffs
+        value = sum(c * r**n for n, c in enumerate(cs))
+        assert abs(value - (alpha + (1 - alpha) * math.exp(r))) <= 1e-14

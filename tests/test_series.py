@@ -218,3 +218,10 @@ def test_every_public_function_has_a_caller():
               and not name.startswith("_")}
     bound = {attr for mod, attr in layers() if mod == "series"}
     assert public - names_taken_from_series() - bound == set()
+
+
+def test_caller_scan_sees_the_known_callers():
+    """The guard above is only as good as its scan: it must see the calls
+    catalog and extremal make, and the tracer's bindings."""
+    assert {"Series", "from_coeffs", "mul", "sqrt1p"} <= names_taken_from_series()
+    assert ("series", "compose") in set(layers())
