@@ -34,7 +34,6 @@ from .oracle import (
     eval_functional,
     maximize,
 )
-from .series import Series
 
 __all__ = [
     "BoundFragment",
@@ -45,7 +44,6 @@ __all__ = [
     "OracleResult",
     "PhiSpec",
     "SchwarzPoint",
-    "Series",
     "a2a3_from_schwarz",
     "a2_bound",
     "a3_bound",

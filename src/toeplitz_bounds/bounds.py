@@ -79,13 +79,8 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
         raise ValueError("mu must be finite")
     c2, c3 = kind.scale
     m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
-    t = m * b1 * b1 * mu
-    if t <= b2 + b1 * b1 - b1:
-        value = (b2 + b1 * b1 - m * mu * b1 * b1) / c3
-    elif t <= b2 + b1 * b1 + b1:
-        value = b1 / c3
-    else:
-        value = (-b2 - b1 * b1 + m * mu * b1 * b1) / c3
+    # the modulus first: max(nan, b1) is nan, so an inf - inf reaches the check
+    value = max(abs(b2 + b1 * b1 - m * mu * b1 * b1), b1) / c3
     if not math.isfinite(value):
         raise ValueError(f"the Fekete-Szego bound overflows a float at mu = {mu:g}")
     return value

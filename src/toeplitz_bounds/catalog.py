@@ -15,7 +15,6 @@ import math
 from typing import NamedTuple
 
 from . import series
-from .series import Series
 
 REAL_TOL = 1e-12
 
@@ -93,7 +92,7 @@ TABLE: dict[str, PhiSpec] = {
 
 class Admissibility(NamedTuple):
     violations: tuple[str, ...]
-    head: Series | None = None  # validate's order-3 expansion; not in ==, hash or repr
+    head: tuple | None = None  # validate's order-3 series of phi; not in ==, hash or repr
 
     def __eq__(self, other):
         return isinstance(other, Admissibility) and self.violations == other.violations
@@ -140,40 +139,40 @@ def validate(spec: PhiSpec) -> Admissibility:
     return Admissibility(tuple(bad), s)
 
 
-def _janowski_series(A: float, B: float, order: int) -> Series:
+def _janowski_series(A: float, B: float, order: int) -> tuple[complex, ...]:
     # (1+Az)/(1+Bz) = 1 + sum_{n>=1} (A-B)(-B)^(n-1) z^n, one factor -B per
-    # step; 0.0 - B*c, not c*-B, so that B = 0 and underflow give +0.0
-    cs = [1.0, A - B]
+    # step; 0.0 - B*c (not c*-B) and A - B + 0.0 give +0.0 where division did
+    cs = [1.0, A - B + 0.0]
     while len(cs) <= order:
         cs.append(0.0 - B * cs[-1])
-    return Series(tuple(cs))
+    return series.from_coeffs(cs)
 
 
-def _exp_series(alpha: float, order: int) -> Series:
+def _exp_series(alpha: float, order: int) -> tuple[complex, ...]:
     # alpha + (1-alpha) e^z, with 1/n! as e_n = e_(n-1)/n
     e = [1.0]
     for n in range(1, order + 1):
         e.append(e[-1] / n)
-    return Series((alpha + (1 - alpha),) + tuple((1 - alpha) * c for c in e[1:]))
+    return series.from_coeffs((alpha + (1 - alpha),) + tuple((1 - alpha) * c for c in e[1:]))
 
 
-def _lune_series(order: int) -> Series:
+def _lune_series(order: int) -> tuple[complex, ...]:
     # z + sqrt(1 + z^2)
     root = series.sqrt1p(series.from_coeffs((1, 0, 1), order))
-    return series.z(order) + root
+    return tuple(x + y for x, y in zip(series.z(order), root))
 
 
-def _parabolic_series(order: int) -> Series:
+def _parabolic_series(order: int) -> tuple[complex, ...]:
     # 1 + (2/pi^2) (log((1+t)/(1-t)))^2 with t = sqrt(z).  The log equals
     # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so the square is an honest
     # series in z: 1 + (8/pi^2) * z * g(z)^2.
-    g = Series(tuple(1.0 / (2 * k + 1) for k in range(order + 1)))
+    g = series.from_coeffs(1.0 / (2 * k + 1) for k in range(order + 1))
     g2 = series.mul(g, g)
     shifted = series.mul(g2, series.z(order))
-    return series.one(order) + shifted.scale(8 / math.pi**2)
+    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), shifted))
 
 
-def phi_series(spec: PhiSpec, order: int = 10) -> Series:
+def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:
     """Taylor expansion of phi to the requested order."""
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -199,7 +198,7 @@ def phi_series(spec: PhiSpec, order: int = 10) -> Series:
             # float(k!) overflows past k = 170; there the exact integer
             # quotient is used instead, and it underflows cleanly to zero
             cs[k] = (float(sign) if k <= 170 else sign) / math.factorial(k)
-        return Series(tuple(cs))
+        return series.from_coeffs(cs)
     if spec.kind == "lune":
         return _lune_series(order)
     if spec.kind == "parabolic":
@@ -245,7 +244,7 @@ def b_coeffs(spec: PhiSpec) -> tuple[float, float]:
     return _b12(spec, phi_series(spec, order=3))
 
 
-def _b12(spec: PhiSpec, head: Series) -> tuple[float, float]:
+def _b12(spec: PhiSpec, head: tuple[complex, ...]) -> tuple[float, float]:
     """`b_coeffs` on an order-3 expansion already built (``validate``'s head)."""
     b1, b2 = head[1], head[2]
     if abs(b1.imag) > REAL_TOL or abs(b2.imag) > REAL_TOL:

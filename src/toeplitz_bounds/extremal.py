@@ -18,13 +18,11 @@ from typing import NamedTuple
 from . import _kernels, series
 from .bounds import ClassKind
 from .catalog import PhiSpec, phi_series, validate
-from .series import Series
 
 
 class ExtremalFunction(NamedTuple):
     kind: ClassKind
     coeffs: tuple[complex, ...]  # (a0, a1, a2, ...) with a0 = 0, a1 = 1
-    psi: Series  # coefficients of phi(i z)
 
     @property
     def order(self) -> int:
@@ -49,10 +47,10 @@ class ExtremalFunction(NamedTuple):
         return _kernels.functional(_kernels.T31, 0.0, self.a2, self.a3)
 
 
-def _psi(spec: PhiSpec, order: int) -> Series:
+def _psi(spec: PhiSpec, order: int) -> tuple[complex, ...]:
     """Coefficients of phi(i z): the k-th coefficient of phi times i^k."""
-    phi = phi_series(spec, order).coeffs
-    return Series(tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi)))
+    phi = phi_series(spec, order)
+    return tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi))
 
 
 def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
@@ -64,20 +62,20 @@ def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
     psi = _psi(spec, order)
     a = [0j] * (order + 1)
-    a[1] = 1
+    a[1] = 1 + 0j
     for n in range(2, order + 1):
         acc = 0j
         for k in range(1, n):
             acc += a[k] * psi[n - k]
         a[n] = acc / (n - 1)
-    return ExtremalFunction(ClassKind.STARLIKE, tuple(a), psi)
+    return ExtremalFunction(ClassKind.STARLIKE, tuple(a))
 
 
 def h_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
     """Convex extremal by Alexander's relation H' = K/z: a_n(H) = a_n(K)/n."""
     ef = k_phi(spec, order)
     a = (ef.coeffs[0],) + tuple(c / n for n, c in enumerate(ef.coeffs[1:], 1))
-    return ExtremalFunction(ClassKind.CONVEX, a, ef.psi)
+    return ExtremalFunction(ClassKind.CONVEX, a)
 
 
 def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
@@ -90,13 +88,11 @@ def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
     order = ef.order
     psi = _psi(spec, order)
     if ef.kind is ClassKind.STARLIKE:
-        f = Series(ef.coeffs)
-        zfp = Series(tuple(n * c for n, c in enumerate(ef.coeffs)))
-        return series.max_abs_diff(zfp, series.mul(f, psi))
+        zfp = tuple(n * c for n, c in enumerate(ef.coeffs))
+        return series.max_abs_diff(zfp, series.mul(ef.coeffs, psi))
     g = [0j] * (order + 1)
     for m in range(order):
         g[m] = (m + 1) * ef.coeffs[m + 1]
-    gs = Series(tuple(g))
-    zgp = Series(tuple(m * c for m, c in enumerate(g)))
-    rhs = series.mul(gs, psi - series.one(order))
+    zgp = tuple(m * c for m, c in enumerate(g))
+    rhs = series.mul(tuple(g), tuple(x - y for x, y in zip(psi, series.one(order))))
     return series.max_abs_diff(zgp, rhs, upto=order - 1)

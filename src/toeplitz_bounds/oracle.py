@@ -30,6 +30,8 @@ from .bounds import ClassKind
 
 REGION_TOL = 1e-12
 SEED_ENV = "TOEPLITZ_BOUNDS_SEED"
+SHARDS = 8  # independent sample streams per call
+TOP_CANDIDATES = 16  # best points per functional that the polish refines
 
 _FUNCTIONALS = ("t22", "t31", "fs")
 
@@ -57,16 +59,14 @@ class SchwarzPoint(NamedTuple):
     w2: complex
 
     def in_region(self, tol: float = REGION_TOL) -> bool:
-        r = abs(self.w1)
-        return r <= 1 + tol and abs(self.w2) <= 1 - r * r + tol
+        r = abs(self.w1)  # |w1| > 1 + tol leaves no w2: the cap is below -tol
+        return abs(self.w2) <= 1 - r * r + tol
 
 
 class OracleConfig(NamedTuple):
     samples: int = 200_000
     seed: int | None = None
     polish_steps: int = 40
-    shards: int = 8
-    top_candidates: int = 16
 
     def resolved_seed(self) -> int:
         return default_seed() if self.seed is None else self.seed
@@ -170,13 +170,11 @@ def maximize(kind: ClassKind, b1: float, b2: float,
 
     seed = config.resolved_seed()
     func_ids = [_FUNCTIONALS.index(name) for name in names]
-    shards = max(1, config.shards)
-    base, extra = divmod(config.samples, shards)
-    top_k = max(1, config.top_candidates)
+    base, extra = divmod(config.samples, SHARDS)
 
     tops = [[] for _ in names]  # per functional: each shard's top-k
     evaluated = 0
-    for shard in range(min(shards, config.samples)):
+    for shard in range(min(SHARDS, config.samples)):
         w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
         if shard == 0:
             dw1, dw2 = np.array(DISTINGUISHED, dtype=np.complex128).T
@@ -185,14 +183,14 @@ def maximize(kind: ClassKind, b1: float, b2: float,
         evaluated += len(w1)
         for func_id, shard_tops in zip(func_ids, tops):
             vals = _kernels.eval_batch(kind.id, b1, b2, func_id, mu, w1, w2)
-            keep = min(top_k, len(vals))
+            keep = min(TOP_CANDIDATES, len(vals))
             top = np.argpartition(vals, -keep)[-keep:]
             shard_tops.append((vals[top], w1[top], w2[top]))
 
     results = []
     for name, func_id, shard_tops in zip(names, func_ids, tops):
         vals, w1, w2 = map(np.concatenate, zip(*shard_tops))
-        best = np.argsort(-vals, kind="stable")[:top_k]
+        best = np.argsort(-vals, kind="stable")[:TOP_CANDIDATES]
         sup, p1, p2 = _kernels.polish(kind.id, b1, b2, func_id, mu, w1[best], w2[best],
                                       config.polish_steps)
         results.append(OracleResult(

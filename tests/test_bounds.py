@@ -66,6 +66,28 @@ class TestFeketeSzego:
         assert abs(fekete_szego(CV, b1, b2, lo) - b1 / 6) <= 1e-10
         assert abs(fekete_szego(CV, b1, b2, hi) - b1 / 6) <= 1e-10
 
+    # Cells where |B2 + B1^2 - m*mu*B1^2| ties with B1 up to rounding.  The
+    # former three-branch form chose its branch with m*B1^2*mu but computed
+    # m*mu*B1^2, and returned the smaller candidate here: 0.19999999999999996
+    # and 0.04499999999999993.
+    @pytest.mark.parametrize("kind,b1,b2,mu,value", [
+        (ST, 0.4, 2.0, 5.5, 0.2),
+        (CV, 0.27, -2.25, -22.37860082304526, 0.045000000000000005),
+    ])
+    def test_tie_takes_the_larger_candidate(self, kind, b1, b2, mu, value):
+        assert repr(fekete_szego(kind, b1, b2, mu)) == repr(value)
+        assert value == b1 / kind.scale[1]
+
+    @given(b1s, b2s, st.floats(-4, 4))
+    @example(0.4, 2.0, 5.5)
+    @example(0.27, -2.25, -22.37860082304526)
+    def test_never_below_either_candidate(self, b1, b2, mu):
+        for kind in (ST, CV):
+            c2, c3 = kind.scale
+            value = fekete_szego(kind, b1, b2, mu)
+            assert value >= b1 / c3
+            assert value >= abs(b2 + b1 * b1 - c3 / (c2 * c2) * mu * b1 * b1) / c3
+
 
 class TestCoefficientBounds:
     def test_a2(self):
@@ -304,6 +326,14 @@ class TestOneExpansion:
 # definition; the shared code must reproduce them bit for bit.
 
 def ref_fekete_szego(kind, b1, b2, mu):
+    # max(|B2 + B1^2 - m mu B1^2|, B1)/c3 per kind, m = 2 (starlike) or 1.5
+    if kind is ST:
+        return max(abs(b2 + b1 * b1 - 2 * mu * b1 * b1), b1) / 2
+    return max(abs(b2 + b1 * b1 - 1.5 * mu * b1 * b1), b1) / 6
+
+
+def branch_fekete_szego(kind, b1, b2, mu):
+    """The three branches in mu of the Fekete-Szego theorem, as first written."""
     if kind is ST:
         t = 2 * b1 * b1 * mu
         if t <= b2 + b1 * b1 - b1:
@@ -390,7 +420,12 @@ class TestOneDefinitionPerFormula:
     @on_large_b1_boundaries
     def test_bitwise_equal_to_per_kind_formulas(self, b1, b2, mu):
         for kind in (ST, CV):
-            assert same(fekete_szego(kind, b1, b2, mu), ref_fekete_szego(kind, b1, b2, mu))
+            fs = fekete_szego(kind, b1, b2, mu)
+            assert same(fs, ref_fekete_szego(kind, b1, b2, mu))
+            # the branch form states the same theorem: it differs only by
+            # rounding, at a tie, where it may pick the smaller candidate
+            branch = branch_fekete_szego(kind, b1, b2, mu)
+            assert branch <= fs <= branch + 1e-15 * (b1 * b1 * (1 + abs(mu)) + abs(b2) + b1)
             assert same(a2_bound(kind, b1), b1 if kind is ST else b1 / 2)
             t22, t31 = t22_bound(kind, b1, b2), t31_bound(kind, b1, b2)
             want22, want31 = ref_t22(kind, b1, b2), ref_t31(kind, b1, b2)

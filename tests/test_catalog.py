@@ -45,6 +45,32 @@ class TestPhiSeries:
             phi_series(PhiSpec("janowski"), order=3)
 
 
+class TestElementwiseMaps:
+    """The lune and parabolic maps add series element-wise, and sine is
+    built from floats; their reprs, signed zeros included, are pinned as
+    they were built before a series became a tuple."""
+
+    def test_lune_is_z_plus_root(self):
+        got = phi_series(catalog.LUNE, 7)
+        assert repr(got) == ("((1+0j), (1+0j), (0.5+0j), 0j, (-0.125+0j), 0j, "
+                             "(0.0625+0j), 0j)")
+        root = series.sqrt1p(from_coeffs((1, 0, 1), 7))
+        assert got == tuple(x + y for x, y in zip(series.z(7), root))
+
+    def test_parabolic_is_one_plus_scaled_tail(self):
+        got = phi_series(catalog.PARABOLIC, 4)
+        assert repr(got) == ("((1+0j), (0.8105694691387022+0j), (0.5403796460924681+0j), "
+                             "(0.41429106200422555+0j), (0.33966720611526563+0j))")
+        assert got[0] == 1
+        # 1 + (8/pi^2) z g(z)^2 with g = sum z^k/(2k+1): g^2 = 1 + 2/3 z + ...
+        assert got[1] == 8 / math.pi**2
+        assert abs(got[2] - 8 / math.pi**2 * 2 / 3) <= 1e-16
+
+    def test_sine_repr(self):
+        assert repr(phi_series(catalog.SINE, 5)) == (
+            "((1+0j), (1+0j), 0j, (-0.16666666666666666+0j), 0j, (0.008333333333333333+0j))")
+
+
 class TestBCoeffs:
     def test_exponential(self):
         assert b_coeffs(catalog.alpha_exponential(0.0)) == pytest.approx((1.0, 0.5))
@@ -110,6 +136,13 @@ class TestValidate:
         assert not v.ok
         assert any("finite" in msg for msg in v.violations)
 
+    @pytest.mark.parametrize("A,B", [(0.5, -1.5), (1.5, 0.0), (0.5, 0.5)])
+    def test_janowski_parameter_range(self, A, B):
+        # -1 <= B < A <= 1: B below -1, A above 1 and B = A are rejected
+        v = validate(catalog.janowski(A, B))
+        assert v.violations == ("janowski requires -1 <= B < A <= 1",)
+        assert validate(catalog.janowski(1.0, -1.0)).ok
+
     def test_alpha_range(self):
         assert not validate(catalog.alpha_exponential(1.0)).ok
         assert validate(catalog.alpha_exponential(0.999)).ok
@@ -160,9 +193,10 @@ class TestClosedForms:
     @example(0.5, 0.0, 400)  # B = 0
     @example(1.0, -1.0, 400)  # the classical half-plane map
     @example(0.75, 0.5, 400)  # B > 0
+    @example(-0.0, 0.0, 2)  # A - B = -0.0
     def test_janowski_matches_series_division(self, A, B, order):
         got = phi_series(catalog.janowski(A, B), order)
-        assert repr(got.coeffs) == repr(ref_janowski(A, B, order))
+        assert repr(got) == repr(ref_janowski(A, B, order))
         # (1 + Az)/(1 + Bz) times 1 + Bz
         prod = series.mul(got, from_coeffs((1, B), order))
         assert series.max_abs_diff(prod, from_coeffs((1, A), order)) <= 1e-15
@@ -172,13 +206,13 @@ class TestClosedForms:
     @example(0.0, 400)
     def test_order_alpha_matches_series_division(self, alpha, order):
         got = phi_series(catalog.order_alpha(alpha), order)
-        assert repr(got.coeffs) == repr(ref_janowski(1 - 2 * alpha, -1.0, order))
+        assert repr(got) == repr(ref_janowski(1 - 2 * alpha, -1.0, order))
 
     @settings(deadline=None)
     @given(ALPHAS, ORDERS)
     @example(0.0, 400)
     def test_exp_matches_formal_exponential(self, alpha, order):
-        got = phi_series(catalog.alpha_exponential(alpha), order).coeffs
+        got = phi_series(catalog.alpha_exponential(alpha), order)
         assert repr(got) == repr(ref_exp(alpha, order))
         # alpha + (1 - alpha) e^z: (n+1) c_(n+1) = c_n for n >= 1
         assert got[1] == 1 - alpha
@@ -199,26 +233,26 @@ class TestClosedFormValues:
 
     def test_geometric(self):
         # (1+z)/(1-z) = 1 + 2z + 2z^2 + ..., exactly
-        assert phi_series(catalog.janowski(1, -1), order=3).coeffs == (1, 2, 2, 2)
+        assert phi_series(catalog.janowski(1, -1), order=3) == (1, 2, 2, 2)
 
     def test_janowski_coefficients(self):
         # (1+Az)/(1+Bz) = 1 + (A-B)z - B(A-B)z^2 + ... with A=.5, B=-.5
-        assert phi_series(catalog.janowski(0.5, -0.5), order=2).coeffs == (1, 1, 0.5)
+        assert phi_series(catalog.janowski(0.5, -0.5), order=2) == (1, 1, 0.5)
 
     def test_equal_parameters_give_one(self):
         for a in (-0.3, 0.0, 0.3):
             got = phi_series(catalog.janowski(a, a), order=6)
             assert got == series.one(6)
-            assert positive_zeros(got.coeffs)
+            assert positive_zeros(got)
 
     def test_b_zero_tail_is_positive_zero(self):
-        got = phi_series(catalog.janowski(0.5, 0.0), order=6).coeffs
+        got = phi_series(catalog.janowski(0.5, 0.0), order=6)
         assert got[:2] == (1, 0.5)
         assert got[2:] == (0,) * 5
         assert positive_zeros(got)
 
     def test_underflow_gives_positive_zero(self):
-        got = phi_series(catalog.janowski(1.0, 1e-300), order=5).coeffs
+        got = phi_series(catalog.janowski(1.0, 1e-300), order=5)
         assert got[2] == -1e-300
         assert got[3:] == (0,) * 3
         assert positive_zeros(got)
@@ -229,12 +263,12 @@ class TestClosedFormValues:
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-0.5, 0.5))
     def test_janowski_sums_to_the_map(self, A, B, r):
-        cs = phi_series(catalog.janowski(A, B), order=60).coeffs
+        cs = phi_series(catalog.janowski(A, B), order=60)
         value = sum(c * r**n for n, c in enumerate(cs))
         assert abs(value - (1 + A * r) / (1 + B * r)) <= 1e-12
 
     @given(ALPHAS, st.floats(-1, 1))
     def test_exp_sums_to_the_map(self, alpha, r):
-        cs = phi_series(catalog.alpha_exponential(alpha), order=30).coeffs
+        cs = phi_series(catalog.alpha_exponential(alpha), order=30)
         value = sum(c * r**n for n, c in enumerate(cs))
         assert abs(value - (alpha + (1 - alpha) * math.exp(r))) <= 1e-14

@@ -25,7 +25,7 @@ def convex_recursion(spec, order):
     """The former convex recursion for g = H': m g_m = sum_{k<m} g_k psi_{m-k}."""
     psi = _psi(spec, order)
     g = [0j] * order
-    g[0] = 1
+    g[0] = 1 + 0j
     for m in range(1, order):
         acc = 0j
         for k in range(m):
@@ -63,6 +63,13 @@ class TestInitialCoefficients:
         ef = k_phi(catalog.SINE)
         assert ef.coeffs[0] == 0
         assert ef.coeffs[1] == 1
+
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
+    def test_coefficients_are_complex(self, spec):
+        # a1 too: 1 + 0j, not the int 1 (starlike) or the float 1.0 (convex)
+        for ef in (k_phi(spec, 12), h_phi(spec, 12)):
+            assert all(type(c) is complex for c in ef.coeffs)
+        assert type(_psi(spec, 12)) is tuple
 
 
 class TestSharpness:
@@ -102,7 +109,7 @@ class TestResidual:
         ef = k_phi(spec, order=10)
         coeffs = list(ef.coeffs)
         coeffs[3] += 1e-3
-        bad = ExtremalFunction(ef.kind, tuple(coeffs), ef.psi)
+        bad = ExtremalFunction(ef.kind, tuple(coeffs))
         assert residual(bad, spec) >= 1e-4
 
     def test_overflow_is_nan_not_zero(self):
@@ -116,16 +123,16 @@ class TestResidual:
         ef = h_phi(spec, order=10)
         coeffs = list(ef.coeffs)
         coeffs[3] += 1e-3
-        bad = ExtremalFunction(ef.kind, tuple(coeffs), ef.psi)
+        bad = ExtremalFunction(ef.kind, tuple(coeffs))
         assert residual(bad, spec) >= 1e-4
 
 
 class TestRotation:
     @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
     def test_psi_equals_compose(self, spec):
-        rot = series.z(50).scale(1j)
+        rot = series.from_coeffs((0, 1j), 50)
         want = series.compose(catalog.phi_series(spec, 50), rot)
-        assert _psi(spec, 50).coeffs == want.coeffs
+        assert _psi(spec, 50) == want
 
 
 class TestAlexanderRelation:

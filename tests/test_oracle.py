@@ -158,10 +158,6 @@ class TestMaximize:
         cfg = OracleConfig(samples=samples, seed=7, polish_steps=0)
         assert maximize(ST, 2, 2, "t22", cfg).samples == samples + 8
 
-    def test_zero_top_candidates_polishes_the_best_sample(self):
-        cfg = OracleConfig(samples=1_000, seed=7, top_candidates=0)
-        assert maximize(ST, 2, 2, "t22", cfg).sup_estimate >= 13.0
-
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="budget"):
             maximize(ST, 1, 0, "t22", OracleConfig(samples=0))
@@ -248,6 +244,29 @@ def test_in_region_predicate():
     assert not SchwarzPoint(1.1, 0).in_region()
 
 
+@given(st.floats(1.0 + 1e-9, 2.0), st.floats(0.0, 2 * cmath.pi),
+       st.floats(0.0, 2.0), st.floats(0.0, 2 * cmath.pi))
+def test_in_region_rejects_w1_outside_the_disc(r, t1, rho, t2):
+    # 1 < |w1| <= 2 leaves no admissible w2, not even w2 = 0
+    w1 = cmath.rect(r, t1)
+    assert not SchwarzPoint(w1, 0j).in_region()
+    assert not SchwarzPoint(w1, cmath.rect(rho, t2)).in_region()
+
+
+def test_distinguished_points_are_in_the_region():
+    assert len(oracle.DISTINGUISHED) == 8
+    for w1, w2 in oracle.DISTINGUISHED:
+        assert SchwarzPoint(w1, w2).in_region(tol=0.0)
+
+
+def test_documented_defaults(monkeypatch):
+    monkeypatch.delenv(oracle.SEED_ENV, raising=False)
+    assert oracle.default_seed() == 7
+    assert OracleConfig().resolved_seed() == 7
+    assert OracleConfig().samples == 200_000
+    assert OracleConfig().polish_steps == 40
+
+
 class TestPolish:
     def test_reaches_supremum_on_the_circle(self):
         # Coordinate ascent stalled at 12.99976 here, on |w1| = 1.
@@ -282,6 +301,39 @@ class TestPolish:
         single = max(_kernels.polish(kind_id, b1, b2, func_id, 0.7, p.w1, p.w2, 12)[0]
                      for p in pts)
         assert batch[0] == pytest.approx(single, rel=1e-14, abs=0)
+
+
+class TestArgmaxCarriesItsValue:
+    """The value returned is the functional at the point returned.  The
+    points here have w2 != 0, where evaluating one point and reporting
+    another (say, w2 read as x2 - i*y2) shows: at w2 = 0 it cannot."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
+           st.sampled_from([_kernels.T22, _kernels.T31, _kernels.FS]),
+           st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.integers(0, 3))
+    def test_polish(self, seed, kind_id, func_id, b1, b2, mu, halvings):
+        pts = random_points(6, seed=seed)
+        w1 = np.array([p.w1 for p in pts])
+        w2 = np.array([p.w2 for p in pts])
+        val, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings)
+        at, scale = value_and_scale(kind_id, b1, b2, func_id, mu, p1, p2)
+        assert abs(val - at) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("polish_steps", [0, 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_maximize_when_a_draw_wins(self, monkeypatch, kind, polish_steps, mu):
+        # Only the origin is distinguished, so the Fekete-Szego maximum of
+        # this middle-branch cell, at w1 = 0 and |w2| = 1, goes to a draw.
+        monkeypatch.setattr(oracle, "DISTINGUISHED", ((0j, 0j),))
+        cfg = OracleConfig(samples=64, seed=3, polish_steps=polish_steps)
+        res = maximize(kind, 1.0, -0.9, "fs", cfg, mu=mu)
+        assert res.argmax.w1 != 0 and res.argmax.w2 != 0
+        a2, a3 = a2a3_from_schwarz(kind, 1.0, -0.9, res.argmax)
+        assert eval_functional("fs", a2, a3, mu) == pytest.approx(res.sup_estimate,
+                                                                  rel=1e-13)
 
 
 @st.composite

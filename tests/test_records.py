@@ -1,5 +1,6 @@
 """The record types: pinned reprs, value equality and hashing, immutability
-and the constructor checks, for all nine of them."""
+and the constructor checks, for all eight of them.  A series is a plain
+tuple of complex, not a record."""
 
 import pickle
 
@@ -14,9 +15,9 @@ from toeplitz_bounds import (
     OracleResult,
     PhiSpec,
     SchwarzPoint,
-    Series,
 )
 from toeplitz_bounds.catalog import Admissibility
+from toeplitz_bounds.series import from_coeffs
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 
@@ -38,10 +39,9 @@ RECORDS = {
         "t31=BoundFragment(value=1.5, hypothesis_ok=False), notes=('t31: x',))",
     ),
     "ExtremalFunction": (
-        lambda: ExtremalFunction(ST, (0j, 1 + 0j, 1j), Series((1, 1j, -0.5))),
-        lambda: ExtremalFunction(CV, (0j, 1 + 0j, 1j), Series((1, 1j, -0.5))),
-        "ExtremalFunction(kind=<ClassKind.STARLIKE: 'starlike'>, coeffs=(0j, (1+0j), 1j), "
-        "psi=Series(coeffs=((1+0j), 1j, (-0.5+0j))))",
+        lambda: ExtremalFunction(ST, (0j, 1 + 0j, 1j)),
+        lambda: ExtremalFunction(CV, (0j, 1 + 0j, 1j)),
+        "ExtremalFunction(kind=<ClassKind.STARLIKE: 'starlike'>, coeffs=(0j, (1+0j), 1j))",
     ),
     "SchwarzPoint": (
         lambda: SchwarzPoint(1j, 0j),
@@ -51,7 +51,7 @@ RECORDS = {
     "OracleConfig": (
         lambda: OracleConfig(samples=2000, seed=3),
         lambda: OracleConfig(samples=2000),
-        "OracleConfig(samples=2000, seed=3, polish_steps=40, shards=8, top_candidates=16)",
+        "OracleConfig(samples=2000, seed=3, polish_steps=40)",
     ),
     "OracleResult": (
         lambda: OracleResult("t22", 0.0, 1.25, SchwarzPoint(1j, 0j), 200008, 7, 40),
@@ -68,11 +68,6 @@ RECORDS = {
         lambda: PhiSpec("janowski", A=0.5, B=-0.5),
         lambda: PhiSpec("janowski", A=0.5, B=-0.25),
         "PhiSpec(kind='janowski', A=0.5, B=-0.5, alpha=None, custom=())",
-    ),
-    "Series": (
-        lambda: Series((1, 2)),
-        lambda: Series((1, 3)),
-        "Series(coeffs=((1+0j), (2+0j)))",
     ),
 }
 
@@ -122,27 +117,31 @@ class TestConstructorChecks:
 
     def test_empty_series(self):
         with pytest.raises(ValueError, match="at least the constant coefficient"):
-            Series(())
+            from_coeffs(())
 
     def test_series_holds_complex(self):
-        s = Series((1, 2))
-        assert s.coeffs == (1 + 0j, 2 + 0j)
-        assert all(type(c) is complex for c in s.coeffs)
-        assert len(s.coeffs) == 2 and s.order == 1
+        s = from_coeffs((1, 2))
+        assert s == (1 + 0j, 2 + 0j)
+        assert all(type(c) is complex for c in s)
+        assert repr(s) == "((1+0j), (2+0j))"
 
-    def test_series_is_not_a_tuple_of_fields(self):
-        # Series overrides [] and the arithmetic operators, so it is not a tuple
-        s = Series((1, 2, 3))
-        assert not isinstance(s, tuple)
-        assert s[2] == 3 and s != (1 + 0j, 2 + 0j, 3 + 0j)
+    def test_series_is_a_plain_tuple(self):
+        s = from_coeffs((1, 2, 3))
+        assert type(s) is tuple
+        assert s[2] == 3 and s == (1 + 0j, 2 + 0j, 3 + 0j)
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_field_sets(self):
+        assert ExtremalFunction._fields == ("kind", "coeffs")
+        assert OracleConfig._fields == ("samples", "seed", "polish_steps")
 
 
 class TestAdmissibilityHead:
     """The order-3 expansion that validate keeps is not part of ==, hash or repr."""
 
     def test_head_is_ignored(self):
-        a = Admissibility((), Series((1, 1, 0.5, 0)))
-        b = Admissibility((), Series((1, 2, 0.5, 0)))
+        a = Admissibility((), from_coeffs((1, 1, 0.5, 0)))
+        b = Admissibility((), from_coeffs((1, 2, 0.5, 0)))
         c = Admissibility(())
         assert a == b == c and not a != b and not b != c
         assert hash(a) == hash(b) == hash(c)
@@ -150,5 +149,5 @@ class TestAdmissibilityHead:
         assert a.head != b.head and c.head is None
 
     def test_violations_still_count(self):
-        assert Admissibility(("x",), Series((1,))) != Admissibility(("y",), Series((1,)))
+        assert Admissibility(("x",), (1 + 0j,)) != Admissibility(("y",), (1 + 0j,))
         assert Admissibility(("x",)).ok is False and Admissibility(()).ok is True
