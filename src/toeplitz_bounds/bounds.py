@@ -148,7 +148,7 @@ def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-    b1, b2 = _b12(spec, verdict.head)
+    b1, b2 = _b12(verdict.head)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
     if not (math.isfinite(t22.value) and math.isfinite(t31.value)):

@@ -211,49 +211,14 @@ def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:
     return series.from_coeffs((1,) + spec.custom, order)
 
 
-def closed_form_b12(spec: PhiSpec) -> tuple[float, float] | None:
-    """The documented (B1, B2) closed forms; None for custom specs."""
-    if spec.kind == "janowski":
-        return (spec.A - spec.B, -spec.B * (spec.A - spec.B))
-    if spec.kind == "order-alpha":
-        a = spec.alpha
-        return (2 * (1 - a), 2 * (1 - a))
-    if spec.kind == "exp":
-        return (1 - spec.alpha, (1 - spec.alpha) / 2)
-    if spec.kind == "cardioid":
-        return (4 / 3, 2 / 3)
-    if spec.kind == "sine":
-        return (1.0, 0.0)
-    if spec.kind == "lune":
-        return (1.0, 0.5)
-    if spec.kind == "parabolic":
-        return (8 / math.pi**2, 16 / (3 * math.pi**2))
-    if spec.kind == "limacon":
-        return (math.sqrt(2), 0.5)
-    if spec.kind == "nephroid":
-        return (1.0, 0.0)
-    return None
-
-
 def b_coeffs(spec: PhiSpec) -> tuple[float, float]:
-    """(B1, B2) read off phi's order-3 expansion; must be real for catalog kinds.
-
-    For catalog kinds the values are cross-checked against the closed
-    forms; a mismatch means the expansion machinery is broken.
-    """
-    return _b12(spec, phi_series(spec, order=3))
+    """(B1, B2) read off phi's order-3 expansion; both must be real."""
+    return _b12(phi_series(spec, order=3))
 
 
-def _b12(spec: PhiSpec, head: tuple[complex, ...]) -> tuple[float, float]:
+def _b12(head: tuple[complex, ...]) -> tuple[float, float]:
     """`b_coeffs` on an order-3 expansion already built (``validate``'s head)."""
     b1, b2 = head[1], head[2]
     if abs(b1.imag) > REAL_TOL or abs(b2.imag) > REAL_TOL:
         raise ValueError("B1 and B2 must be real")
-    known = closed_form_b12(spec)
-    if known is not None:
-        if abs(b1.real - known[0]) > 1e-11 or abs(b2.real - known[1]) > 1e-11:
-            raise AssertionError(
-                f"expansion disagrees with closed form for {spec.kind}: "
-                f"({b1.real}, {b2.real}) vs {known}"
-            )
     return (b1.real, b2.real)

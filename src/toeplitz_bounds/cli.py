@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from typing import Any
@@ -365,8 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser: built on the first call, reused by every later one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "order", 3) < 3:

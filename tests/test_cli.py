@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toeplitz_bounds
-from toeplitz_bounds import catalog, oracle
+from toeplitz_bounds import catalog, cli, oracle
 from toeplitz_bounds.cli import main, render_json, render_table_csv, table_rows
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_table.csv"
@@ -269,6 +269,49 @@ def test_bad_seed_env_is_one_error_line(capsys, monkeypatch, raw):
     err = one_error_line(capsys, ["verify", "--class", "sine", "--samples", "100"])
     assert "TOEPLITZ_BOUNDS_SEED" in err
 
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it on every call."""
+
+    def test_built_once_for_different_subcommands(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert run(capsys, "bounds", "--class", "sine")[0] == 0
+            assert run(capsys, "fs", "--class", "sine", "--mu", "0.5")[0] == 0
+        finally:
+            cli._parser.cache_clear()  # the next call builds from the real build_parser
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        extended = cli.build_parser()
+        assert extended is not cli.build_parser()
+        extended.add_argument("--extra")
+        assert extended.parse_args(["--extra", "1", "table"]).extra == "1"
+        # main's parser does not see what a caller added to its own copy
+        one_error_line(capsys, ["--extra", "1", "table"])
+
+    def test_error_and_help_leave_no_state(self, capsys):
+        argv = ["bounds", "--class", "sine", "--kind", "both"]
+        one_error_line(capsys, ["bounds", "--class", "sine", "--kind", "sideways"])
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: toeplitz-bounds")
+        code, out, err = run(capsys, *argv)
+        src = str(pathlib.Path(toeplitz_bounds.__file__).resolve().parents[1])
+        fresh = subprocess.run([sys.executable, "-m", "toeplitz_bounds.cli", *argv],
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and out
 
 
 def test_numpy_loads_only_when_verify_samples():

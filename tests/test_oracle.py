@@ -176,6 +176,16 @@ class TestMaximize:
         with pytest.raises(ValueError, match="functional"):
             maximize(ST, 1, 0, names, FAST)
 
+    @pytest.mark.parametrize("names", ["t22", ("t22", "t31", "fs")])
+    @pytest.mark.parametrize("b1", [0.0, -1.0, float("nan")])
+    def test_rejects_b1_not_positive_before_sampling(self, monkeypatch, names, b1):
+        def forbidden(*args):
+            raise AssertionError("sampled before B1 was checked")
+
+        monkeypatch.setattr(oracle, "_sample_shard", forbidden)
+        with pytest.raises(ValueError, match="^B1 must be positive$"):
+            maximize(ST, b1, 0.0, names, FAST)
+
     @pytest.mark.parametrize("kind", [ST, CV])
     @pytest.mark.parametrize("b1,b2", [(4 / 3, 2 / 3), (1.0, -0.9)],
                              ids=["cardioid", "custom-1-0.9"])

@@ -15,14 +15,43 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def layers():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(mod, attr) for bindings in module.LAYERS.values() for mod, attr in bindings]
+    return module
+
+
+def layers():
+    return [(mod, attr) for bindings in load_tracing().LAYERS.values()
+            for mod, attr in bindings]
 
 
 @pytest.mark.parametrize("mod,attr", layers())
 def test_binding_resolves_to_a_callable(mod, attr):
     module = importlib.import_module(f"toeplitz_bounds.{mod}")
     assert callable(getattr(module, attr, None)), f"toeplitz_bounds.{mod}.{attr}"
+
+
+def test_tracer_counts_a_verify_and_an_extremal(capsys):
+    # The tracer reads float(result[0]) of polish and len/.max() of
+    # eval_batch; a change to those shapes would break --trace 1 here.
+    from toeplitz_bounds import cli
+
+    main = cli.main
+    tracer = load_tracing().Tracer()
+    watched = ("cli.main", "oracle.maximize", "kernels.polish", "kernels.eval_batch")
+    with tracer.installed():
+        with tracer.op():
+            assert cli.main(["verify", "--class", "sine", "--seed", "7"]) == 0
+        # 200 000 draws plus the 8 distinguished points, once per functional
+        assert [tracer.calls[name] for name in watched] == [1, 1, 2, 16]
+        assert tracer.points == 2 * 200_008
+        with tracer.op():
+            assert cli.main(["extremal", "--class", "lune", "--order", "100"]) == 0
+        assert [tracer.calls[name] for name in watched] == [2, 1, 2, 16]
+        assert tracer.points == 2 * 200_008
+    assert tracer.ops == 2
+    assert tracer.calls["extremal.recursion"] == tracer.calls["extremal.residual"] == 2
+    assert cli.main is main  # every binding restored
+    assert capsys.readouterr().out

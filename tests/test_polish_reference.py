@@ -1,0 +1,118 @@
+"""``_kernels.polish`` byte for byte against a frozen copy of itself.
+
+The copy below is ``polish`` and ``_project`` (with the ``a2a3`` and
+``functional`` they evaluate) as they stand, kept here as the reference.
+The oracle's pinned results and the CLI transcript print the argmax, so a
+change in the sign of a zero that polish returns changes their bytes; the
+other tests compare values with ``==``, which does not see it.  A change
+to polish that is meant to move its results must say so and update this
+copy with it.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toeplitz_bounds import _kernels
+
+
+def ref_a2a3(kind_id, b1, b2, w1, w2):
+    if kind_id == 0:
+        a2 = b1 * w1
+        a3 = 0.5 * ((b1 * b1 + b2) * w1 * w1 + b1 * w2)
+    else:
+        a2 = 0.5 * b1 * w1
+        a3 = ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 6.0
+    return a2, a3
+
+
+def ref_functional(func_id, mu, a2, a3):
+    if func_id == 0:
+        return abs(a3 * a3 - a2 * a2)
+    if func_id == 1:
+        return abs(1.0 - 2.0 * a2 * a2 - a3 * (a3 - 2.0 * a2 * a2))
+    return abs(a3 - mu * a2 * a2)
+
+
+def ref_project(p):
+    x1, y1, x2, y2 = (p[..., i] for i in range(4))
+    r2 = x1 * x1 + y1 * y1
+    r = np.sqrt(np.maximum(r2, 1.0))
+    cap = 1.0 - np.minimum(r2, 1.0)
+    m = np.sqrt(x2 * x2 + y2 * y2)
+    s = np.divide(cap, m, out=np.ones_like(m), where=m > cap)
+    x2 = np.where(cap > 0.0, x2 * s, 0.0)
+    y2 = np.where(cap > 0.0, y2 * s, 0.0)
+    return np.stack([x1 / r, y1 / r, x2, y2], axis=-1)
+
+
+def ref_polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
+    def value(p):
+        z1, z2 = p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
+        return ref_functional(func_id, mu, *ref_a2a3(kind_id, b1, b2, z1, z2))
+
+    w1 = np.asarray(w1, dtype=np.complex128).reshape(-1)
+    w2 = np.asarray(w2, dtype=np.complex128).reshape(-1)
+    pts = ref_project(np.stack([w1.real, w1.imag, w2.real, w2.imag], axis=-1))
+    best = value(pts)
+    step = 0.25
+    for _ in range(halvings):
+        delta = step * np.concatenate([np.eye(4), -np.eye(4)])
+        for _sweep in range(8):
+            moves = ref_project(pts[:, None, :] + delta)
+            vals = value(moves)
+            pick = vals.argmax(axis=1)
+            top = vals.max(axis=1)
+            up = top > best
+            if not up.any():
+                break
+            best = np.where(up, top, best)
+            pts[up] = moves[up, pick[up]]
+        step *= 0.5
+    i = int(best.argmax())
+    x1, y1, x2, y2 = pts[i]
+    return float(best[i]), complex(x1 + 1j * y1), complex(x2 + 1j * y2)
+
+
+def fingerprint(result):
+    """Every float polish returns, as hex and as the sign of its bit pattern."""
+    value, w1, w2 = result
+    parts = (value, w1.real, w1.imag, w2.real, w2.imag)
+    return [(float(x).hex(), math.copysign(1.0, x)) for x in parts]
+
+
+# A zero of either sign, or any value: w2 = +-0.0 at |w1| = 1 is where the
+# projection decides the sign of a zero.
+PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+ON_CIRCLE = st.one_of(
+    st.sampled_from([1 + 0j, -1 + 0j, 1j, -1j, complex(-0.0, 1.0), complex(1.0, -0.0)]),
+    st.floats(-math.pi, math.pi).map(lambda t: cmath.rect(1.0, t)),
+)
+
+
+@st.composite
+def candidate_sets(draw):
+    n = draw(st.integers(1, 16))
+    # points on |w1| = 1, or anywhere in the square: polish projects them first
+    w1 = [draw(st.one_of(ON_CIRCLE, st.builds(complex, PART, PART))) for _ in range(n)]
+    w2 = [draw(st.builds(complex, PART, PART)) for _ in range(n)]
+    return np.array(w1, dtype=np.complex128), np.array(w2, dtype=np.complex128)
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidate_sets(), st.sampled_from([0, 1]), st.sampled_from([0, 1, 2]),
+       st.floats(0.05, 3.0), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+       st.integers(0, 40))
+# the winner sits on the circle with w2 = -0 - 0j: the projection must
+# return +0.0 for both parts of w2, not the -0.0 that scaling by 0 gives
+@example((np.array([1j]), np.array([complex(-0.0, -0.0)])), 0, 0, 1.0, 0.0, 0.0, 0)
+@example((np.array([-1 + 0j, 0.5j]), np.array([complex(-0.5, -0.25), 0.2])),
+         1, 1, 1.3, -0.4, 0.7, 3)
+def test_polish_matches_frozen_copy_bytewise(cands, kind_id, func_id, b1, b2, mu, halvings):
+    w1, w2 = cands
+    got = _kernels.polish(kind_id, b1, b2, func_id, mu, w1.copy(), w2.copy(), halvings)
+    want = ref_polish(kind_id, b1, b2, func_id, mu, w1.copy(), w2.copy(), halvings)
+    assert fingerprint(got) == fingerprint(want)

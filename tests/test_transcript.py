@@ -95,6 +95,13 @@ def test_replays_byte_identically(entry):
     assert replay(entry["argv"]) == entry
 
 
+def test_replays_in_reverse_in_one_process():
+    # main reuses one parser for the whole process: no call may leave state
+    # in it that changes a later call, whatever the order
+    for entry in reversed(ENTRIES):
+        assert replay(entry["argv"]) == entry, entry["argv"]
+
+
 if __name__ == "__main__":
     entries = [replay(argv) for argv in transcript_argv()]
     TRANSCRIPT.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n")
