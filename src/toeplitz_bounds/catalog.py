@@ -164,12 +164,11 @@ def _lune_series(order: int) -> tuple[complex, ...]:
 
 def _parabolic_series(order: int) -> tuple[complex, ...]:
     # 1 + (2/pi^2) (log((1+t)/(1-t)))^2 with t = sqrt(z).  The log equals
-    # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so the square is an honest
-    # series in z: 1 + (8/pi^2) * z * g(z)^2.
+    # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so the square is an honest series
+    # in z: 1 + (8/pi^2) * z * g(z)^2, where the factor z is a shift.
     g = series.from_coeffs(1.0 / (2 * k + 1) for k in range(order + 1))
     g2 = series.mul(g, g)
-    shifted = series.mul(g2, series.z(order))
-    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), shifted))
+    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), (0j,) + g2[:-1]))
 
 
 def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:

@@ -47,10 +47,21 @@ class ExtremalFunction(NamedTuple):
         return _kernels.functional(_kernels.T31, 0.0, self.a2, self.a3)
 
 
+_last_psi: tuple = (None, 0, ())  # (spec, order, psi); holding spec keeps its id unique
+
+
 def _psi(spec: PhiSpec, order: int) -> tuple[complex, ...]:
-    """Coefficients of phi(i z): the k-th coefficient of phi times i^k."""
-    phi = phi_series(spec, order)
-    return tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi))
+    """Coefficients of phi(i z): the k-th coefficient of phi times i^k.
+
+    The last result is reused for the same spec object and order.  Not for
+    an == spec: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
+    global _last_psi
+    last_spec, last_order, psi = _last_psi  # one read, so a racing call cannot mix slots
+    if last_spec is spec and last_order == order:
+        return psi
+    psi = tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi_series(spec, order)))
+    _last_psi = (spec, order, psi)
+    return psi
 
 
 def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:

@@ -222,6 +222,13 @@ class TestFullReport:
         assert not rep.t22.hypothesis_ok
         assert len(rep.notes) == 2
 
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_t22_open_note_states_b2_plus_b1_squared(self, kind):
+        # at B1 = 1 the note cannot tell B1^2 from B1/B1; at B1 = 0.5 it can
+        rep = full_report(catalog.custom(0.5, -0.2), kind)
+        assert rep.notes[0] == ("t22: |B2 + B1^2| = 0.05 < B1 = 0.5; "
+                                "open case, value is the formula only")
+
 
 class TestKindAttributes:
     """(c2, c3) and the kernels' kind id are attributes of the ClassKind member."""
@@ -276,6 +283,21 @@ class TestRelativeSlack:
             assert not t31_bound(kind, b1, b1 * (K[kind] * b1 - 1) + gap).hypothesis_ok
             assert not t22_bound(kind, b1, b1 * (1 - b1) - gap).hypothesis_ok
             assert not t22_bound(kind, b1, -b1 * (1 + b1) + gap).hypothesis_ok
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_b1_squared_sets_the_slack_where_it_is_largest(self, kind):
+        # B1^2 = 100 > |B2| = 90: B2 falls below B1 - B1^2, where both
+        # hypotheses end, by 9.5e-11, inside 1e-12 * B1^2 = 1e-10 but
+        # outside 1e-12 * |B2| = 9e-11
+        assert t22_bound(kind, 10.0, -90.000000000095).hypothesis_ok
+        assert t31_bound(kind, 10.0, -90.000000000095).hypothesis_ok
+
+    @pytest.mark.parametrize("kind", [ST, CV])
+    def test_slack_floor_is_one(self, kind):
+        # B1^2 and |B2| are 0.25: a shortfall of 1.5e-12 below B1 - B1^2 is
+        # outside 1e-12 * 1
+        assert not t22_bound(kind, 0.5, 0.2499999999985).hypothesis_ok
+        assert not t31_bound(kind, 0.5, 0.2499999999985).hypothesis_ok
 
 
 class TestOneExpansion:

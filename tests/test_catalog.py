@@ -201,6 +201,15 @@ def ref_exp(alpha, order):
     return tuple(x + (1 - alpha) * complex(c) for x, c in zip(const, e))
 
 
+def ref_parabolic(order):
+    """The parabolic expansion as built before the factor z became a shift:
+    a Cauchy product with the series z."""
+    g = series.from_coeffs(1.0 / (2 * k + 1) for k in range(order + 1))
+    g2 = series.mul(g, g)
+    shifted = series.mul(g2, series.z(order))
+    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), shifted))
+
+
 UNIT = st.floats(-1, 1)
 ALPHAS = st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True))
 ORDERS = st.integers(2, 400)
@@ -238,6 +247,14 @@ class TestClosedForms:
         for n in range(1, order):
             assert math.isclose((n + 1) * got[n + 1].real, got[n].real,
                                 rel_tol=1e-15, abs_tol=1e-300)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 250))
+    @example(2)
+    @example(250)
+    def test_parabolic_shift_matches_product_by_z(self, order):
+        got = phi_series(catalog.PARABOLIC, order)
+        assert repr(got) == repr(ref_parabolic(order))
 
 
 def positive_zeros(cs):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from toeplitz_bounds import catalog, series
+from toeplitz_bounds import catalog, cli, extremal, series
 from toeplitz_bounds.bounds import ClassKind, t22_bound, t31_bound
 from toeplitz_bounds.extremal import ExtremalFunction, _psi, h_phi, k_phi, residual
 
@@ -135,6 +135,63 @@ class TestRotation:
         assert _psi(spec, 50) == want
 
 
+class TestOnePsiPerOp:
+    """k_phi/h_phi and then residual on one spec object share one expansion
+    of phi(iz); _psi keeps only the last one, keyed by the spec's identity."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(extremal, "_last_psi", (None, 0, ()))
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        orders = []
+        expand = extremal.phi_series
+
+        def counted(spec, order=10):
+            orders.append(order)
+            return expand(spec, order)
+
+        monkeypatch.setattr(extremal, "phi_series", counted)
+        return orders
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_cli_extremal_expands_phi_once(self, capsys, expansions, kind):
+        argv = ["extremal", "--class", "parabolic", "--kind", kind, "--order", "100"]
+        assert cli.main(argv) == 0
+        assert expansions == [100]
+        assert "residual" in capsys.readouterr().out
+
+    def test_reused_only_for_the_same_object_and_order(self, expansions):
+        spec = catalog.custom(1.0, -0.9, 0.3)
+        assert _psi(spec, 10) is _psi(spec, 10)
+        assert expansions == [10]
+        _psi(spec, 11)
+        _psi(catalog.PhiSpec(*spec), 11)  # equal to spec, but another object
+        assert expansions == [10, 11, 11]
+
+    def test_equal_spec_with_other_zeros_keeps_its_repr(self):
+        neg, pos = catalog.custom(1, -0.0), catalog.custom(1, 0.0)
+        assert neg == pos and hash(neg) == hash(pos)
+        assert repr(_psi(neg, 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
+        assert repr(_psi(pos, 4)) == "((1+0j), 1j, (-0+0j), -0j, 0j)"
+        assert repr(_psi(neg, 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
+
+    def test_a_freed_spec_cannot_lend_its_id(self):
+        # without the slot's reference the first spec is freed after the
+        # call, and the second one is likely built at the same address
+        assert repr(_psi(catalog.custom(1, -0.0), 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
+        assert repr(_psi(catalog.custom(1, 0.0), 4)) == "((1+0j), 1j, (-0+0j), -0j, 0j)"
+
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_residual_still_checks_the_coefficients(self, make):
+        ef = make(catalog.PARABOLIC, 30)
+        coeffs = list(ef.coeffs)
+        coeffs[-2] += 1e-6
+        assert residual(ef, catalog.PARABOLIC) <= 1e-12
+        assert residual(ExtremalFunction(ef.kind, tuple(coeffs)), catalog.PARABOLIC) >= 1e-7
+
+
 class TestAlexanderRelation:
     @pytest.mark.parametrize("order", [3, 10, 200])
     @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
@@ -160,6 +217,9 @@ class TestValidation:
     def test_inadmissible_spec(self):
         with pytest.raises(ValueError, match="inadmissible"):
             k_phi(catalog.custom(0.0))
+
+    def test_default_order(self):
+        assert k_phi(catalog.SINE).order == h_phi(catalog.SINE).order == 10
 
     def test_order_too_small(self):
         with pytest.raises(ValueError, match="order"):

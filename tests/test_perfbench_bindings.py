@@ -33,11 +33,13 @@ def test_binding_resolves_to_a_callable(mod, attr):
     assert callable(getattr(module, attr, None)), f"toeplitz_bounds.{mod}.{attr}"
 
 
-def test_tracer_counts_a_verify_and_an_extremal(capsys):
+def test_tracer_counts_a_verify_and_an_extremal(capsys, monkeypatch):
     # The tracer reads float(result[0]) of polish and len/.max() of
     # eval_batch; a change to those shapes would break --trace 1 here.
-    from toeplitz_bounds import cli
+    from toeplitz_bounds import cli, extremal
 
+    # forget the phi(iz) expansion an earlier test may have left for reuse
+    monkeypatch.setattr(extremal, "_last_psi", (None, 0, ()))
     main = cli.main
     tracer = load_tracing().Tracer()
     watched = ("cli.main", "oracle.maximize", "kernels.polish", "kernels.eval_batch")
@@ -47,10 +49,13 @@ def test_tracer_counts_a_verify_and_an_extremal(capsys):
         # 200 000 draws plus the 8 distinguished points, once per functional
         assert [tracer.calls[name] for name in watched] == [1, 1, 2, 16]
         assert tracer.points == 2 * 200_008
+        # validate in full_report and in k_phi, then one phi(iz) for k_phi and residual
+        assert tracer.calls["catalog.phi_series"] == 3
         with tracer.op():
             assert cli.main(["extremal", "--class", "lune", "--order", "100"]) == 0
         assert [tracer.calls[name] for name in watched] == [2, 1, 2, 16]
         assert tracer.points == 2 * 200_008
+        assert tracer.calls["catalog.phi_series"] == 3 + 2  # validate, then phi(iz)
     assert tracer.ops == 2
     assert tracer.calls["extremal.recursion"] == tracer.calls["extremal.residual"] == 2
     assert cli.main is main  # every binding restored
