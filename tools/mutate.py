@@ -13,7 +13,10 @@ once with every target unparsed but unchanged; if that fails, nothing is
 reported.  Stdlib only.
 
     python tools/mutate.py src/toeplitz_bounds/extremal.py
-    python tools/mutate.py --workers 2 src/toeplitz_bounds/bounds.py -- -q tests/test_bounds.py
+    python tools/mutate.py src/toeplitz_bounds/bounds.py -- -q tests/test_bounds.py
+
+The mutants run one after another.  The timeout of each run is 3x the
+unmutated run + 10 s.
 
 Exit status: 0 when every mutant is killed, 1 when some survive, 2 when
 the unmutated copy fails its tests.
@@ -24,13 +27,11 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,13 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     cut = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("files", nargs="+", type=Path, help="modules under src/ to mutate")
-    parser.add_argument("--workers", type=int, default=1, help="project copies run at once")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds per test run (default: 3x the unmutated run + 10)")
     args = parser.parse_args(argv[:cut])
     pytest_args = argv[cut + 1:] or ["-q"]
-    if not 1 <= args.workers <= (os.cpu_count() or 1):
-        parser.error(f"--workers must be between 1 and {os.cpu_count() or 1}")
 
     targets = {}  # path relative to ROOT -> original source
     for path in args.files:
@@ -107,37 +103,27 @@ def main(argv: list[str] | None = None) -> int:
     mutants = [(rel, site) for rel, source in targets.items()
                for site in sites(ast.parse(source))]
 
+    results = []
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
-        copies: queue.Queue[Path] = queue.Queue()
-        for w in range(args.workers):
-            copy = Path(tmp) / f"copy{w}"
-            shutil.copytree(ROOT, copy, ignore=IGNORE)
-            for rel, source in targets.items():  # the baseline is the unparsed module
-                (copy / rel).write_text(ast.unparse(ast.parse(source)))
-            copies.put(copy)
+        copy = Path(tmp) / "copy"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        baseline = {rel: ast.unparse(ast.parse(source)) for rel, source in targets.items()}
+        for rel, source in baseline.items():
+            (copy / rel).write_text(source)
 
         start = time.perf_counter()
-        if not run_tests(Path(tmp) / "copy0", pytest_args, None):
+        if not run_tests(copy, pytest_args, None):
             print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
             return 2
-        timeout = args.timeout or 3 * (time.perf_counter() - start) + 10
+        timeout = 3 * (time.perf_counter() - start) + 10
         print(f"{len(mutants)} mutants; tests: pytest -x {' '.join(pytest_args)}; "
               f"timeout {timeout:.0f} s", flush=True)
 
-        def attempt(mutant):
-            rel, site = mutant
+        for rel, site in mutants:
             mutated, label = mutate(targets[rel], site)
-            copy = copies.get()
-            try:
-                (copy / rel).write_text(mutated)
-                killed = not run_tests(copy, pytest_args, timeout)
-                (copy / rel).write_text(ast.unparse(ast.parse(targets[rel])))
-            finally:
-                copies.put(copy)
-            return rel, label, killed
-
-        with ThreadPoolExecutor(args.workers) as pool:
-            results = list(pool.map(attempt, mutants))
+            (copy / rel).write_text(mutated)
+            results.append((rel, label, not run_tests(copy, pytest_args, timeout)))
+            (copy / rel).write_text(baseline[rel])
 
     survived = False
     for rel in targets:
