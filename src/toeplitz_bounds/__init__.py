@@ -30,7 +30,6 @@ from .oracle import (
     OracleResult,
     SchwarzPoint,
     a2a3_from_schwarz,
-    caratheodory_crosscheck,
     eval_functional,
     maximize,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "a3_bound",
     "alpha_exponential",
     "b_coeffs",
-    "caratheodory_crosscheck",
     "custom",
     "eval_functional",
     "fekete_szego",

@@ -23,7 +23,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .catalog import PhiSpec, _b12, validate
+from .catalog import PhiSpec, b_coeffs, validate
 
 HYP_SLACK = 1e-12
 
@@ -44,9 +44,6 @@ class ClassKind(enum.Enum):
             return cls(text.lower())
         except ValueError:
             raise ValueError(f"unknown class kind {text!r}") from None
-
-
-SCALE = {kind: kind.scale for kind in ClassKind}
 
 
 class BoundFragment(NamedTuple):
@@ -144,11 +141,11 @@ def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
 
 
 def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
-    """Every bound for one (phi, class kind) pair, from validate's one expansion of phi."""
+    """Every bound for one (phi, class kind) pair, from b_coeffs' one expansion of phi."""
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-    b1, b2 = _b12(verdict.head)
+    b1, b2 = b_coeffs(spec)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
     if not (math.isfinite(t22.value) and math.isfinite(t31.value)):

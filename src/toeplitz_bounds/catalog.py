@@ -92,18 +92,6 @@ TABLE: dict[str, PhiSpec] = {
 
 class Admissibility(NamedTuple):
     violations: tuple[str, ...]
-    head: tuple | None = None  # validate's order-3 series of phi; not in ==, hash or repr
-
-    def __eq__(self, other):
-        return isinstance(other, Admissibility) and self.violations == other.violations
-
-    __ne__ = object.__ne__  # tuple's own != would compare head
-
-    def __hash__(self) -> int:
-        return hash(self.violations)
-
-    def __repr__(self) -> str:
-        return f"Admissibility(violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:
@@ -111,7 +99,12 @@ class Admissibility(NamedTuple):
 
 
 def validate(spec: PhiSpec) -> Admissibility:
-    """Check parameter ranges, then phi(0)=1 and B1>0 on phi's order-3 expansion (head)."""
+    """Check the parameters; expands no phi.
+
+    phi(0) = 1 holds by construction, and janowski, order-alpha and exp
+    have B1 > 0 on their parameter ranges, so only custom's b1 is checked
+    for it.
+    """
     bad: list[str] = []
     if spec.kind == "janowski":
         if spec.A is None or spec.B is None:
@@ -128,15 +121,9 @@ def validate(spec: PhiSpec) -> Admissibility:
             bad.append("custom requires at least the coefficient b1")
         elif not all(cmath.isfinite(c) for c in spec.custom):
             bad.append("custom coefficients must be finite")
-
-    if bad:
-        return Admissibility(tuple(bad))
-    s = phi_series(spec, order=3)
-    if abs(s[0] - 1) > REAL_TOL:
-        bad.append("phi(0) = 1 violated")
-    if abs(s[1].imag) > REAL_TOL or s[1].real <= 0:
-        bad.append("B1 > 0 violated")
-    return Admissibility(tuple(bad), s)
+        elif abs(spec.custom[0].imag) > REAL_TOL or spec.custom[0].real <= 0:
+            bad.append("B1 > 0 violated")
+    return Admissibility(tuple(bad))
 
 
 def _janowski_series(A: float, B: float, order: int) -> tuple[complex, ...]:
@@ -211,13 +198,8 @@ def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:
 
 
 def b_coeffs(spec: PhiSpec) -> tuple[float, float]:
-    """(B1, B2) read off phi's order-3 expansion; both must be real."""
-    return _b12(phi_series(spec, order=3))
-
-
-def _b12(head: tuple[complex, ...]) -> tuple[float, float]:
-    """`b_coeffs` on an order-3 expansion already built (``validate``'s head)."""
-    b1, b2 = head[1], head[2]
+    """(B1, B2) read off phi's one order-3 expansion; both must be real."""
+    _, b1, b2, _ = phi_series(spec, order=3)
     if abs(b1.imag) > REAL_TOL or abs(b2.imag) > REAL_TOL:
         raise ValueError("B1 and B2 must be real")
     return (b1.real, b2.real)

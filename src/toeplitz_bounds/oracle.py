@@ -90,28 +90,6 @@ def a2a3_from_schwarz(kind: ClassKind, b1: float, b2: float,
     return _kernels.a2a3(kind.id, b1, b2, p.w1, p.w2)
 
 
-def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
-                           c1: complex, c2: complex) -> tuple[complex, complex]:
-    """(a2, a3) via the half-plane-function coefficients c1 = 2w1, c2 = 2(w2+w1^2)."""
-    if kind is ClassKind.STARLIKE:
-        a2 = b1 * c1 / 2
-        a3 = ((b1 * b1 - b1 + b2) * c1 * c1 + 2 * b1 * c2) / 8
-    else:
-        a2 = b1 * c1 / 4
-        a3 = ((-b1 + b1 * b1 + b2) * c1 * c1 + 2 * b1 * c2) / 24
-    return a2, a3
-
-
-def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
-                            p: SchwarzPoint) -> float:
-    """Discrepancy between the direct (w1,w2) route and the (c1,c2) route."""
-    a2w, a3w = a2a3_from_schwarz(kind, b1, b2, p)
-    c1 = 2 * p.w1
-    c2 = 2 * (p.w2 + p.w1 * p.w1)
-    a2c, a3c = a2a3_from_caratheodory(kind, b1, b2, c1, c2)
-    return max(abs(a2w - a2c), abs(a3w - a3c))
-
-
 def eval_functional(functional: str, a2: complex, a3: complex,
                     mu: float = 0.0) -> float:
     """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| evaluated with complex arithmetic."""

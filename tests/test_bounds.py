@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from toeplitz_bounds import bounds, catalog, oracle
+from toeplitz_bounds import catalog, oracle
 from toeplitz_bounds.bounds import (
     HYP_SLACK,
     ClassKind,
@@ -237,7 +237,7 @@ class TestKindAttributes:
         assert (ST.scale, CV.scale) == ((1, 2), (2, 6))
         assert (ST.id, CV.id) == (0, 1)
         assert ClassKind("convex") is CV and CV.value == "convex"
-        assert bounds.SCALE == {ST: (1, 2), CV: (2, 6)}
+        assert {k: k.scale for k in ClassKind} == {ST: (1, 2), CV: (2, 6)}
 
     def test_no_kind_is_hashed(self, monkeypatch):
         calls = []
@@ -299,9 +299,24 @@ class TestRelativeSlack:
         assert not t22_bound(kind, 0.5, 0.2499999999985).hypothesis_ok
         assert not t31_bound(kind, 0.5, 0.2499999999985).hypothesis_ok
 
+    @pytest.mark.parametrize("kind,hi_tie", [(ST, 2.000000000002), (CV, 1.000000000001)])
+    def test_slack_edge_itself_is_accepted(self, kind, hi_tie):
+        # at B1 = 1 each B2 sits exactly on its slackened edge, in floats:
+        # |B2 + B1^2| + slack = B1, lo - slack = B2 and hi + slack = B2
+        assert abs(-1e-12 + 1.0) + HYP_SLACK == 1.0
+        assert t22_bound(kind, 1.0, -1e-12).hypothesis_ok
+        assert t31_bound(kind, 1.0, -1e-12).hypothesis_ok
+        assert (2.0 if kind is ST else 1.0) + HYP_SLACK * hi_tie == hi_tie
+        assert t31_bound(kind, 1.0, hi_tie).hypothesis_ok
+
+    def test_empty_interval_note_at_its_lower_end(self):
+        # convex at B1 = 0.5: hi = 0 < lo = 0.25, so B2 = lo fails T3(1) above hi
+        rep = full_report(catalog.custom(0.5, 0.25), CV)
+        assert rep.notes == ("t31: B2 = 0.25 > 2*B1^2 - B1 = 0",)
+
 
 class TestOneExpansion:
-    """full_report expands phi once, in validate, and keeps every check."""
+    """full_report expands phi once, in b_coeffs, and keeps every check."""
 
     @pytest.mark.parametrize("spec", [
         catalog.CARDIOID, catalog.janowski(0.5, -0.3), catalog.alpha_exponential(0.2),

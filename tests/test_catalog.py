@@ -63,6 +63,14 @@ class TestPhiSeries:
         with pytest.raises(ValueError):
             phi_series(PhiSpec("janowski"), order=3)
 
+    def test_default_order(self):
+        assert phi_series(catalog.SINE) == phi_series(catalog.SINE, 10)
+        assert len(phi_series(catalog.SINE)) == 11
+
+    def test_describe_params_within_real_tol(self):
+        assert catalog.custom(1 + 1e-12j, 2).describe_params() == {"b1": 1.0, "b2": 2.0}
+        assert catalog.custom(1 + 2e-12j).describe_params() == {"b1": 1 + 2e-12j}
+
 
 class TestElementwiseMaps:
     """The lune and parabolic maps add series element-wise, and sine is
@@ -107,6 +115,10 @@ class TestBCoeffs:
     def test_complex_coefficients_rejected(self):
         with pytest.raises(ValueError, match="real"):
             b_coeffs(catalog.custom(1.0, 0.5j))
+
+    @pytest.mark.parametrize("coeffs", [(1 + 1e-12j, 0.5), (1, 0.5 - 1e-12j)])
+    def test_imaginary_part_within_real_tol(self, coeffs):
+        assert b_coeffs(catalog.custom(*coeffs)) == (1.0, 0.5)
 
     @pytest.mark.parametrize("spec", [
         catalog.janowski(0.75, -0.25),
@@ -169,6 +181,58 @@ class TestValidate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PhiSpec("koebe")
+
+    @pytest.mark.parametrize("b1", [0.0, -0.0, -1.0, 0.5j, 1j, 1 + 2e-12j, 1 - 2e-12j])
+    def test_custom_b1_not_real_positive(self, b1):
+        assert validate(catalog.custom(b1, 0.5)).violations == ("B1 > 0 violated",)
+
+    @pytest.mark.parametrize("b1", [5e-324, 1 + 1e-12j, 1 - 1e-12j])
+    def test_custom_b1_within_real_tol(self, b1):
+        assert validate(catalog.custom(b1)).ok
+
+    @pytest.mark.parametrize("b1", [float("nan"), complex(0, float("inf")), -float("inf")])
+    def test_finite_check_comes_first(self, b1):
+        assert validate(catalog.custom(b1)).violations == ("custom coefficients must be finite",)
+
+    @pytest.mark.parametrize("spec", [
+        *catalog.TABLE.values(), catalog.janowski(0.5, -0.5), catalog.janowski(0.5, 0.5),
+        catalog.order_alpha(0.3), catalog.alpha_exponential(1.0), catalog.custom(1.0, -0.9),
+        catalog.custom(0.5j), catalog.PhiSpec("custom"),
+    ])
+    def test_expands_no_phi(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate expanded phi")
+
+        monkeypatch.setattr(catalog, "phi_series", refuse)
+        validate(spec)
+
+
+# validate checks the parameters only; these are the facts about phi that
+# it relies on, for every kind
+WIDE = st.floats(-1.5, 1.5)
+ACCEPTED = st.one_of(
+    st.builds(catalog.janowski, WIDE, WIDE),
+    st.builds(catalog.order_alpha, WIDE),
+    st.builds(catalog.alpha_exponential, WIDE),
+    st.sampled_from([PhiSpec(kind) for kind, needs in catalog.PARAMS.items() if not needs]),
+    st.lists(st.complex_numbers(max_magnitude=1e6), max_size=3).map(
+        lambda cs: catalog.custom(*cs)),
+).filter(lambda spec: validate(spec).ok)
+
+
+@given(ACCEPTED)
+@example(catalog.order_alpha(1 - 2**-53))
+@example(catalog.alpha_exponential(1 - 2**-53))
+@example(catalog.janowski(0.5, math.nextafter(0.5, -math.inf)))
+@example(catalog.janowski(math.nextafter(-1.0, 0.0), -1.0))
+@example(catalog.janowski(1.0, -1.0))
+@example(catalog.custom(5e-324))
+@example(catalog.custom(1 + 1e-12j))
+def test_accepted_spec_has_phi0_one_and_real_positive_b1(spec):
+    assert validate(spec).ok
+    head = phi_series(spec, 3)
+    assert abs(head[0] - 1) <= catalog.REAL_TOL
+    assert abs(head[1].imag) <= catalog.REAL_TOL and head[1].real > 0
 
 
 # The janowski and exp expansions as they were built before the closed

@@ -17,14 +17,39 @@ from toeplitz_bounds.bounds import (
 from toeplitz_bounds.oracle import (
     OracleConfig,
     SchwarzPoint,
-    a2a3_from_caratheodory,
     a2a3_from_schwarz,
-    caratheodory_crosscheck,
     eval_functional,
     maximize,
 )
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
+
+
+# The reference route that the oracle's (w1, w2) kernels are checked
+# against: (a2, a3) through the coefficients c1, c2 of the Caratheodory
+# function (1 + w)/(1 - w).  test_acceptance.py imports it from here.
+
+def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
+                           c1: complex, c2: complex) -> tuple[complex, complex]:
+    """(a2, a3) via the half-plane-function coefficients c1 = 2w1, c2 = 2(w2+w1^2)."""
+    if kind is ClassKind.STARLIKE:
+        a2 = b1 * c1 / 2
+        a3 = ((b1 * b1 - b1 + b2) * c1 * c1 + 2 * b1 * c2) / 8
+    else:
+        a2 = b1 * c1 / 4
+        a3 = ((-b1 + b1 * b1 + b2) * c1 * c1 + 2 * b1 * c2) / 24
+    return a2, a3
+
+
+def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
+                            p: SchwarzPoint) -> float:
+    """Discrepancy between the direct (w1,w2) route and the (c1,c2) route."""
+    a2w, a3w = a2a3_from_schwarz(kind, b1, b2, p)
+    c1 = 2 * p.w1
+    c2 = 2 * (p.w2 + p.w1 * p.w1)
+    a2c, a3c = a2a3_from_caratheodory(kind, b1, b2, c1, c2)
+    return max(abs(a2w - a2c), abs(a3w - a3c))
+
 
 FAST = OracleConfig(samples=20_000, seed=7, polish_steps=30)
 

@@ -49,13 +49,13 @@ def test_tracer_counts_a_verify_and_an_extremal(capsys, monkeypatch):
         # 200 000 draws plus the 8 distinguished points, once per functional
         assert [tracer.calls[name] for name in watched] == [1, 1, 2, 16]
         assert tracer.points == 2 * 200_008
-        # validate in full_report and in k_phi, then one phi(iz) for k_phi and residual
-        assert tracer.calls["catalog.phi_series"] == 3
+        # b_coeffs in full_report, then one phi(iz) for k_phi and residual
+        assert tracer.calls["catalog.phi_series"] == 2
         with tracer.op():
             assert cli.main(["extremal", "--class", "lune", "--order", "100"]) == 0
         assert [tracer.calls[name] for name in watched] == [2, 1, 2, 16]
         assert tracer.points == 2 * 200_008
-        assert tracer.calls["catalog.phi_series"] == 3 + 2  # validate, then phi(iz)
+        assert tracer.calls["catalog.phi_series"] == 2 + 1  # phi(iz) only
     assert tracer.ops == 2
     assert tracer.calls["extremal.recursion"] == tracer.calls["extremal.residual"] == 2
     assert cli.main is main  # every binding restored
