@@ -23,6 +23,7 @@ from toeplitz_bounds.oracle import (
 )
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
+FS = oracle._FUNCTIONALS.index("fs")  # the kernels' id for |a3 - mu*a2^2|
 
 
 # The reference route that the oracle's (w1, w2) kernels are checked
@@ -106,6 +107,9 @@ class TestEvalFunctional:
     def test_unknown(self):
         with pytest.raises(ValueError):
             eval_functional("t44", 0, 0)
+
+    def test_fekete_szego_default_mu_is_zero(self):
+        assert eval_functional("fs", 1j, 0.5) == 0.5  # |a3 - 0*a2^2|, not |0.5 + 1|
 
 
 class TestCrosscheck:
@@ -232,7 +236,7 @@ class TestMaximize:
         (CV, 4 / 3, 2 / 3, "t31", 0.0, 2.085048010973937, -1j, 0j),
         (ST, 1.0, -0.9, "t31", 0.0, 3.0975, -1j, 0j),
         (CV, 1.0, 0.5, "fs", 0.7, 0.1666666666666667,
-         0j, -0.9980601560272079 + 0.062256926931431845j),
+         0j, 0.062256926931431845 - 0.9980601560272079j),
     ])
     def test_pinned_results(self, kind, b1, b2, name, mu, sup, w1, w2):
         cfg = OracleConfig(samples=20_000, seed=7)
@@ -244,7 +248,7 @@ class TestMaximize:
 
 class TestKernels:
     @pytest.mark.parametrize("kind_id", [0, 1])
-    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, _kernels.FS])
+    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
     def test_batch_matches_scalar(self, kind_id, func_id):
         # One formula serves both paths.  numpy's SIMD loops for complex
         # multiply and abs round differently from scalar arithmetic, so the
@@ -253,7 +257,7 @@ class TestKernels:
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
         b1, b2, mu = 1.3, -0.4, 0.7
-        batch = _kernels.eval_batch(kind_id, b1, b2, func_id, mu, w1, w2)
+        batch = _kernels.eval_batch(func_id, mu, *_kernels.a2a3(kind_id, b1, b2, w1, w2))
         for value, p1, p2 in zip(batch, w1, w2):
             # polish evaluates numpy scalars, eval_functional Python complex
             for s1, s2 in ((p1, p2), (complex(p1), complex(p2))):
@@ -272,6 +276,115 @@ class TestKernels:
         assert SchwarzPoint(complex(w1), complex(w2)).in_region()
 
 
+class TestSampleShard:
+    """Where one shard's draws lie and how they spread, at fixed seeds."""
+
+    ULP = np.finfo(float).eps  # one ulp of 1.0
+    CASES = [(7, 0, 25_000), (11, 3, 25_001), (0, 7, 9), (5, 0, 2), (5, 1, 1)]
+
+    @staticmethod
+    def halves(seed, shard, n):
+        """(w1, w2) of the boundary half, then of the interior draws."""
+        w1, w2 = oracle._sample_shard(seed, shard, n)
+        assert len(w1) == len(w2) == n + (len(oracle.DISTINGUISHED) if shard == 0 else 0)
+        start, mid = len(w1) - n, len(w1) - n + n // 2
+        return (w1[start:mid], w2[start:mid]), (w1[mid:], w2[mid:])
+
+    @pytest.mark.parametrize("seed,shard,n", CASES)
+    def test_every_draw_is_in_the_region(self, seed, shard, n):
+        w1, w2 = oracle._sample_shard(seed, shard, n)
+        r = np.abs(w1)
+        assert (np.abs(w2) <= 1 - r * r + oracle.REGION_TOL).all()
+
+    def test_shard_zero_starts_with_the_distinguished_points(self):
+        w1, w2 = oracle._sample_shard(7, 0, 100)
+        assert repr(list(zip(w1[:8].tolist(), w2[:8].tolist()))) == repr(
+            list(oracle.DISTINGUISHED))
+
+    @pytest.mark.parametrize("seed,shard,n", CASES)
+    def test_boundary_half_is_on_the_circle_with_w2_zero(self, seed, shard, n):
+        (w1, w2), _ = self.halves(seed, shard, n)
+        assert len(w1) == n // 2
+        assert (np.abs(np.abs(w1) - 1.0) <= 2 * self.ULP).all()
+        assert (w2 == 0).all()
+
+    @pytest.mark.parametrize("seed,shard,n", CASES)
+    def test_interior_w2_is_on_the_shell(self, seed, shard, n):
+        _, (w1, w2) = self.halves(seed, shard, n)
+        assert len(w1) == n - n // 2
+        assert (np.abs(np.abs(w2) - (1.0 - np.abs(w1) ** 2)) <= 1e-15).all()
+
+    @pytest.mark.parametrize("seed,shard", [(7, 0), (7, 5), (123, 2)])
+    def test_interior_radius_is_a_fourth_root_of_a_uniform(self, seed, shard):
+        # |w1|^4 is uniform on [0, 1): mean 1/2, variance 1/12
+        _, (w1, _) = self.halves(seed, shard, 25_000)
+        x = np.abs(w1) ** 4
+        assert abs(x.mean() - 0.5) <= 5 * (1 / 12 / len(x)) ** 0.5
+
+    @pytest.mark.parametrize("seed,shard", [(7, 0), (7, 5), (123, 2)])
+    def test_angles_are_balanced_over_the_octants(self, seed, shard):
+        (b1, _), (i1, i2) = self.halves(seed, shard, 25_000)
+        for w in (b1, i1, i2):
+            octant = np.floor(np.angle(w) / (np.pi / 4)).astype(int) % 8
+            counts = np.bincount(octant, minlength=8)
+            n = len(w)
+            assert (np.abs(counts - n / 8) <= 5 * (n * (1 / 8) * (7 / 8)) ** 0.5).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 25_000])
+    def test_deterministic_per_seed_and_shard(self, n):
+        for seed, shard in [(7, 0), (7, 1), (8, 1)]:
+            a = oracle._sample_shard(seed, shard, n)
+            b = oracle._sample_shard(seed, shard, n)
+            assert [w.tobytes() for w in a] == [w.tobytes() for w in b]
+        drawn = [oracle._sample_shard(seed, 1, n)[0].tobytes() for seed in (7, 8)]
+        drawn.append(oracle._sample_shard(7, 2, n)[0].tobytes())
+        assert len(set(drawn)) == 3
+
+    @pytest.mark.parametrize("samples", [1, 2, 9])
+    def test_maximize_is_deterministic_at_tiny_budgets(self, samples):
+        cfg = OracleConfig(samples=samples, seed=3)
+        a = maximize(CV, 1.3, -0.4, ("t22", "t31", "fs"), cfg, mu=0.7)
+        b = maximize(CV, 1.3, -0.4, ("t22", "t31", "fs"), cfg, mu=0.7)
+        assert repr(a) == repr(b)
+        assert all(res.samples == samples + 8 for res in a)
+
+    def test_polish_starts_from_the_best_draws(self, monkeypatch):
+        starts = []
+
+        def recorded(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
+            starts.append((func_id, w1, w2))
+            return 0.0, 0j, 0j
+
+        monkeypatch.setattr(_kernels, "polish", recorded)
+        maximize(CV, 1.3, -0.4, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
+        # every value at the length maximize evaluates it: rounding depends on it
+        shards = [oracle._sample_shard(7, shard, 250) for shard in range(oracle.SHARDS)]
+        for func_id, w1, w2 in starts:
+            value = {}
+            for s1, s2 in shards:
+                vals = _kernels.functional(func_id, 0.0, *_kernels.a2a3(1, 1.3, -0.4, s1, s2))
+                value.update(zip(zip(s1.tolist(), s2.tolist()), vals.tolist()))
+            assert len(w1) == oracle.TOP_CANDIDATES
+            best = sorted(value[p] for p in zip(w1.tolist(), w2.tolist()))
+            assert best == sorted(value.values())[-oracle.TOP_CANDIDATES:]
+
+    def test_one_a2a3_per_shard_and_one_eval_batch_per_functional(self, monkeypatch):
+        calls = dict.fromkeys(["a2a3", "eval_batch"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
+        # polish evaluates through a2a3 as well: a stub keeps maximize's own calls
+        monkeypatch.setattr(_kernels, "polish", lambda *args: (0.0, 0j, 0j))
+        maximize(ST, 1.0, 0.5, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
+        assert calls == {"a2a3": oracle.SHARDS, "eval_batch": 2 * oracle.SHARDS}
+
+
 def test_in_region_predicate():
     assert SchwarzPoint(1j, 0).in_region()
     assert SchwarzPoint(0.5, 0.75).in_region()
@@ -288,6 +401,12 @@ def test_in_region_rejects_w1_outside_the_disc(r, t1, rho, t2):
     assert not SchwarzPoint(w1, cmath.rect(rho, t2)).in_region()
 
 
+def test_distinguished_points_are_the_witnesses():
+    # (+-i, 0) and (+-1, 0) on the circle, and w2 on its unit circle at w1 = 0
+    assert oracle.DISTINGUISHED == ((1j, 0), (-1j, 0), (1, 0), (-1, 0),
+                                    (0, 1), (0, -1), (0, 1j), (0, -1j))
+
+
 def test_distinguished_points_are_in_the_region():
     assert len(oracle.DISTINGUISHED) == 8
     for w1, w2 in oracle.DISTINGUISHED:
@@ -300,6 +419,7 @@ def test_documented_defaults(monkeypatch):
     assert OracleConfig().resolved_seed() == 7
     assert OracleConfig().samples == 200_000
     assert OracleConfig().polish_steps == 40
+    assert (oracle.SHARDS, oracle.TOP_CANDIDATES) == (8, 16)
 
 
 class TestPolish:
@@ -316,16 +436,26 @@ class TestPolish:
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
         w1[5], w2[5] = witness, 0
-        start = _kernels.eval_batch(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2)
+        start = _kernels.eval_batch(_kernels.T22, 0.0, *_kernels.a2a3(0, 2.0, 2.0, w1, w2))
         val, p1, p2 = _kernels.polish(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2, 40)
         assert (type(val), type(p1), type(p2)) == (float, complex, complex)
         assert SchwarzPoint(p1, p2).in_region()
         assert val >= start[5]
         assert val == pytest.approx(13.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind_id", [0, 1])
+    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
+    def test_divides_by_no_zero(self, kind_id, func_id):
+        # On or outside the circle with w2 = 0, |w2| and its cap are both 0:
+        # the projection must not divide there, or numpy warns on stderr.
+        w1 = np.array([1j, -1, 0.6 + 0.8j, 0.3, 1.5])
+        w2 = np.array([0, 0, 0, 0.2j, 0])
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            _kernels.polish(kind_id, 1.3, -0.4, func_id, 0.7, w1, w2, 12)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, _kernels.FS]),
+           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
            st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
     def test_batch_is_best_of_single_polishes(self, seed, kind_id, func_id, b1, b2):
         # The shared step must not couple the candidates.
@@ -345,7 +475,7 @@ class TestArgmaxCarriesItsValue:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, _kernels.FS]),
+           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
            st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
            st.integers(0, 3))
     def test_polish(self, seed, kind_id, func_id, b1, b2, mu, halvings):
@@ -394,7 +524,7 @@ def value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2):
 class TestInvariance:
     @settings(max_examples=200, deadline=None)
     @given(schwarz_points(), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, _kernels.FS]),
+           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
            st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
     def test_conjugation(self, point, kind_id, func_id, b1, b2, mu):
         # Real B1, B2 and mu: F(conj w1, conj w2) = F(w1, w2).
@@ -411,8 +541,8 @@ class TestInvariance:
         # w1 -> u w1, w2 -> u^2 w2 maps a2 -> u a2 and a3 -> u^2 a3, |u| = 1.
         w1, w2 = point
         u = cmath.exp(1j * theta)
-        base, scale = value_and_scale(kind_id, b1, b2, _kernels.FS, mu, w1, w2)
-        turned, _ = value_and_scale(kind_id, b1, b2, _kernels.FS, mu,
+        base, scale = value_and_scale(kind_id, b1, b2, FS, mu, w1, w2)
+        turned, _ = value_and_scale(kind_id, b1, b2, FS, mu,
                                     u * w1, u * u * w2)
         assert abs(turned - base) <= 1e-12 * scale
 
@@ -431,7 +561,7 @@ class TestMaximumModulus:
     CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
     @pytest.mark.parametrize("kind", [ST, CV])
-    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, _kernels.FS])
+    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(0.0, 1.0), t1=st.floats(0.0, 2 * cmath.pi),
            shrink=st.floats(0.0, 0.99), t2=st.floats(0.0, 2 * cmath.pi),
@@ -442,8 +572,8 @@ class TestMaximumModulus:
         w1 = cmath.rect(r, t1)
         cap = 1.0 - r * r
         w2 = cmath.rect(shrink * cap, t2)
-        inside = _kernels.eval_batch(kind_id, b1, b2, func_id, mu,
-                                     np.array([w1]), np.array([w2]))[0]
+        inside = _kernels.eval_batch(func_id, mu, *_kernels.a2a3(
+            kind_id, b1, b2, np.array([w1]), np.array([w2])))[0]
         a2, a3 = a2a3_from_caratheodory(kind, b1, b2, 2 * w1,
                                         2 * (cap * self.CIRCLE + w1 * w1))
         on_circle = _kernels.functional(func_id, mu, a2, a3).max()
