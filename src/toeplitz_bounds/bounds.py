@@ -76,8 +76,8 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
         raise ValueError("mu must be finite")
     c2, c3 = kind.scale
     m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
-    # the modulus first: max(nan, b1) is nan, so an inf - inf reaches the check
-    value = max(abs(b2 + b1 * b1 - m * mu * b1 * b1), b1) / c3
+    # one B1^2 term, exact at m*mu = 1; the modulus first: max(nan, b1) is nan
+    value = max(abs(b2 + (1 - m * mu) * b1 * b1), b1) / c3
     if not math.isfinite(value):
         raise ValueError(f"the Fekete-Szego bound overflows a float at mu = {mu:g}")
     return value

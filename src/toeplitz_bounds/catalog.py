@@ -144,18 +144,18 @@ def _exp_series(alpha: float, order: int) -> tuple[complex, ...]:
 
 
 def _lune_series(order: int) -> tuple[complex, ...]:
-    # z + sqrt(1 + z^2)
-    root = series.sqrt1p(series.from_coeffs((1, 0, 1), order))
-    return tuple(x + y for x, y in zip(series.z(order), root))
+    # z + sqrt(1 + z^2), on floats
+    root = series.sqrt1p((1.0, 0.0, 1.0) + (0.0,) * (order - 2))
+    return series.from_coeffs(x + y for x, y in zip((0.0, 1.0) + (0.0,) * (order - 1), root))
 
 
 def _parabolic_series(order: int) -> tuple[complex, ...]:
     # 1 + (2/pi^2) (log((1+t)/(1-t)))^2 with t = sqrt(z).  The log equals
     # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so the square is an honest series
-    # in z: 1 + (8/pi^2) * z * g(z)^2, where the factor z is a shift.
-    g = series.from_coeffs(1.0 / (2 * k + 1) for k in range(order + 1))
-    g2 = series.mul(g, g)
-    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), (0j,) + g2[:-1]))
+    # in z: 1 + (8/pi^2) * z * g(z)^2, where the factor z is a shift.  On
+    # floats; g^2 is needed only to order-1.
+    g = tuple(1.0 / (2 * k + 1) for k in range(order))
+    return series.from_coeffs((1.0,) + tuple(8 / math.pi**2 * y for y in series.mul(g, g)))
 
 
 def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:

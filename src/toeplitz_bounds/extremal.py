@@ -1,14 +1,18 @@
 """Extremal functions attaining the Toeplitz determinant bounds.
 
 The starlike witness K solves z K'(z) = K(z) * phi(i z) with K(0) = 0,
-K'(0) = 1, by a recursion in the coefficients psi_n of phi(i z).  The
-convex witness H solves z H''(z) = H'(z) * (phi(i z) - 1).  By Alexander's
-relation f is convex exactly when z f' is starlike, so H' = K/z and
-a_n(H) = a_n(K)/n: a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and a2 = i*B1/2,
-a3 = -(B1^2 + B2)/6 for H.  When the theorem hypotheses hold, |T2(2)| and
-|T3(1)| at these coefficients equal the closed-form bounds exactly.  The
-residual checks each defining equation directly, independent of the
-relation.
+K'(0) = 1.  The convex witness H solves z H''(z) = H'(z) * (phi(i z) - 1).
+By Alexander's relation f is convex exactly when z f' is starlike, so
+H' = K/z and a_n(H) = a_n(K)/n: a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and
+a2 = i*B1/2, a3 = -(B1^2 + B2)/6 for H.  Under the theorem hypotheses,
+|T2(2)| and |T3(1)| there equal the closed-form bounds exactly.
+
+A Ma-Minda phi is symmetric about the real axis, so its coefficients c_k
+are real and a_n(K) = i^(n-1) alpha_n with real alpha_n.  The recursion
+and the residual run on floats, at half the cost of complex arithmetic,
+and each complex product they replace had one nonzero part, the real
+product, so the bits are the same.  Sums are explicit loops, not ``sum``
+(which compensates float sums from Python 3.12).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 from . import _kernels, series
 from .bounds import ClassKind
-from .catalog import PhiSpec, phi_series, validate
+from .catalog import REAL_TOL, PhiSpec, phi_series, validate
 
 
 class ExtremalFunction(NamedTuple):
@@ -47,38 +51,44 @@ class ExtremalFunction(NamedTuple):
         return _kernels.functional(_kernels.T31, 0.0, self.a2, self.a3)
 
 
-_last_psi: tuple = (None, 0, ())  # (spec, order, psi); holding spec keeps its id unique
+_last_phi: tuple = (None, 0, ())  # (spec, order, c); holding spec keeps its id unique
 
 
-def _psi(spec: PhiSpec, order: int) -> tuple[complex, ...]:
-    """Coefficients of phi(i z): the k-th coefficient of phi times i^k.
+def _phi_coeffs(spec: PhiSpec, order: int) -> tuple[float, ...]:
+    """The real Taylor coefficients c_0 .. c_order of phi.
 
     The last result is reused for the same spec object and order.  Not for
     an == spec: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
-    global _last_psi
-    last_spec, last_order, psi = _last_psi  # one read, so a racing call cannot mix slots
+    global _last_phi
+    last_spec, last_order, c = _last_phi  # one read, so a racing call cannot mix slots
     if last_spec is spec and last_order == order:
-        return psi
-    psi = tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi_series(spec, order)))
-    _last_psi = (spec, order, psi)
-    return psi
+        return c
+    phi = phi_series(spec, order)
+    if any(abs(x.imag) > REAL_TOL for x in phi):
+        raise ValueError("phi must have real coefficients (symmetric about the real axis)")
+    c = tuple(x.real for x in phi)
+    _last_phi = (spec, order, c)
+    return c
 
 
 def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
-    """Starlike extremal: a_n = (1/(n-1)) * sum_{k=1}^{n-1} a_k psi_{n-k}."""
+    """Starlike extremal: a_n = i^(n-1) alpha_n with
+    alpha_n = (1/(n-1)) * sum_{k=1}^{n-1} alpha_k c_{n-k}."""
     if order < 3:
         raise ValueError("order must be at least 3")
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-    psi = _psi(spec, order)
-    a = [0j] * (order + 1)
-    a[1] = 1 + 0j
+    rc = _phi_coeffs(spec, order)[::-1]  # rc[order - j] = c_j
+    alpha, a = [1.0], [0j, 1 + 0j]  # alpha_1, alpha_2, ...
     for n in range(2, order + 1):
-        acc = 0j
-        for k in range(1, n):
-            acc += a[k] * psi[n - k]
-        a[n] = acc / (n - 1)
+        acc = 0.0
+        for x, y in zip(alpha, rc[order + 1 - n:order]):
+            acc += x * y
+        alpha.append(acc / (n - 1))
+        # i^(n-1) alpha_n as the complex recursion rounded it: -acc, but +0.0 at 0.0
+        x = (acc if (n - 1) % 4 < 2 else 0.0 - acc) / (n - 1)
+        a.append(complex(0.0, x) if n % 2 == 0 else complex(x, 0.0))
     return ExtremalFunction(ClassKind.STARLIKE, tuple(a))
 
 
@@ -94,16 +104,21 @@ def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
 
     Starlike: z K' - K * phi(iz), checked at every index up to the order.
     Convex: z H'' - H' * (phi(iz) - 1), checked up to order-1 because the
-    last coefficient of H' is not determined at this truncation.
+    last coefficient of H' is not determined at this truncation.  Each a_n/i^(n-1)
+    splits exactly into parts p and q; q is 0 unless a_n left the axis i^(n-1).
     """
     order = ef.order
-    psi = _psi(spec, order)
+    c = _phi_coeffs(spec, order)
+    parts = [(a.real, a.imag, -a.real, -a.imag) for a in ef.coeffs]
+    p = [x[(n - 1) % 4] for n, x in enumerate(parts)]
+    q = [x[n % 4] for n, x in enumerate(parts)]
     if ef.kind is ClassKind.STARLIKE:
-        zfp = tuple(n * c for n, c in enumerate(ef.coeffs))
-        return series.max_abs_diff(zfp, series.mul(ef.coeffs, psi))
-    g = [0j] * (order + 1)
-    for m in range(order):
-        g[m] = (m + 1) * ef.coeffs[m + 1]
-    zgp = tuple(m * c for m, c in enumerate(g))
-    rhs = series.mul(tuple(g), tuple(x - y for x, y in zip(psi, series.one(order))))
-    return series.max_abs_diff(zgp, rhs, upto=order - 1)
+        kernel = c
+    else:  # g = H' has g_m = (m+1) a_(m+1), m < order, and turns like a_(m+1)
+        p, q = ([(m + 1) * v for m, v in enumerate(x[1:])] for x in (p, q))
+        kernel = (c[0] - 1,) + c[1:order]
+    lhs, rhs = tuple(m * v for m, v in enumerate(p)), series.mul(p, kernel)
+    if any(q):
+        lhs = tuple(map(complex, lhs, (m * v for m, v in enumerate(q))))
+        rhs = tuple(map(complex, rhs, series.mul(q, kernel)))
+    return series.max_abs_diff(lhs, rhs)

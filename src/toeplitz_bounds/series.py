@@ -1,15 +1,18 @@
-"""Truncated formal power series over complex coefficients.
+"""Truncated formal power series.
 
-A series of order N is a plain tuple of the complex coefficients of
-z^0 .. z^N; every operation truncates its result at the common order.
-Tuples are immutable and all operations are pure, so series can be shared
-freely.
+A series of order N is a plain tuple of the coefficients of z^0 .. z^N,
+complex or real floats; every operation truncates its result at the
+common order, and mul and sqrt1p keep the coefficient type they are given.
+A Ma-Minda phi has real coefficients, and on floats the O(N^2) loops cost
+half as much.
+Sums are explicit loops: from Python 3.12 the builtin ``sum`` adds floats
+with compensation, which would move the last bits.  Tuples are immutable
+and all operations are pure, so series can be shared freely.
 
 Only what the package runs lives here: the Cauchy product, composition
 and the square root of a series with constant term 1.  Sums and scalings
-are element-wise ``zip`` expressions at their callers.  Maps whose Taylor
-coefficients have a closed form (janowski, exp) are built from it in
-``catalog``.
+are element-wise ``zip`` expressions at their callers; closed forms
+(janowski, exp) are built in ``catalog``.
 """
 
 from __future__ import annotations
@@ -31,29 +34,24 @@ def from_coeffs(coeffs: Iterable[complex], order: int | None = None) -> tuple[co
     return tuple(complex(c) for c in cs[:n] + (0j,) * (n - len(cs)))
 
 
-def one(order: int) -> tuple[complex, ...]:
-    return from_coeffs((1,), order)
-
-
-def z(order: int) -> tuple[complex, ...]:
-    return from_coeffs((0, 1), order)
-
-
 def _common_order(a: tuple[complex, ...], b: tuple[complex, ...]) -> int:
     if len(a) != len(b):
         raise ValueError(f"order mismatch: {len(a) - 1} != {len(b) - 1}")
     return len(a) - 1
 
 
-def mul(a: tuple[complex, ...], b: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Cauchy product truncated at the common order."""
+def mul(a: tuple, b: tuple) -> tuple:
+    """Cauchy product truncated at the common order: out_m is the dot
+    product a_0 b_m + ... + a_m b_0, in that order, from a zero of a's type."""
     n = _common_order(a, b)
-    out = [0j] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b[j]
+    zero = type(a[0])()
+    rb = b[::-1]  # rb[n - j] = b[j]
+    out = []
+    for m in range(n + 1):
+        acc = zero
+        for x, y in zip(a, rb[n - m:]):
+            acc += x * y
+        out.append(acc)
     return tuple(out)
 
 
@@ -70,12 +68,13 @@ def compose(outer: tuple[complex, ...], inner: tuple[complex, ...]) -> tuple[com
     return r
 
 
-def sqrt1p(a: tuple[complex, ...]) -> tuple[complex, ...]:
-    """Square root of a series with constant term 1, branch with s(0)=1."""
+def sqrt1p(a: tuple) -> tuple:
+    """Square root of a series with constant term 1, branch with s(0)=1;
+    each s_m overwrites a copy of a_m, so s keeps a's coefficient type."""
     n = len(a) - 1
     if a[0] != 1:
         raise ValueError("sqrt1p requires constant term exactly 1")
-    s = [1 + 0j] + [0j] * n
+    s = list(a)
     for m in range(1, n + 1):
         acc = a[m]
         for k in range(1, m):
@@ -84,11 +83,8 @@ def sqrt1p(a: tuple[complex, ...]) -> tuple[complex, ...]:
     return tuple(s)
 
 
-def max_abs_diff(a: tuple[complex, ...], b: tuple[complex, ...],
-                 upto: int | None = None) -> float:
-    """Largest coefficient magnitude of a-b up to the given index; nan if any is."""
-    n = _common_order(a, b)
-    if upto is None:
-        upto = n
-    diffs = [abs(a[k] - b[k]) for k in range(upto + 1)]
+def max_abs_diff(a: tuple, b: tuple) -> float:
+    """Largest coefficient magnitude of a-b; nan if any is."""
+    _common_order(a, b)
+    diffs = [abs(x - y) for x, y in zip(a, b)]
     return math.nan if any(map(math.isnan, diffs)) else max(diffs)

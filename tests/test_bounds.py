@@ -86,7 +86,17 @@ class TestFeketeSzego:
             c2, c3 = kind.scale
             value = fekete_szego(kind, b1, b2, mu)
             assert value >= b1 / c3
-            assert value >= abs(b2 + b1 * b1 - c3 / (c2 * c2) * mu * b1 * b1) / c3
+            assert value >= abs(b2 + (1 - c3 / (c2 * c2) * mu) * b1 * b1) / c3
+
+    def test_terms_cancel_exactly_at_m_mu_one(self):
+        # B2 + B1^2 - m*mu*B1^2 rounded B1^2 twice: 131072.5540485382 here
+        b1 = 131072.55404851015
+        assert fekete_szego(ST, b1, 2 * b1, 0.5) == b1
+
+    @given(b1s, b2s)
+    def test_m_mu_one_leaves_b2(self, b1, b2):
+        assert fekete_szego(ST, b1, b2, 0.5) == max(abs(b2), b1) / 2
+        assert fekete_szego(CV, b1, b2, 2 / 3) == max(abs(b2), b1) / 6
 
 
 class TestCoefficientBounds:
@@ -353,10 +363,10 @@ class TestOneExpansion:
 # definition; the shared code must reproduce them bit for bit.
 
 def ref_fekete_szego(kind, b1, b2, mu):
-    # max(|B2 + B1^2 - m mu B1^2|, B1)/c3 per kind, m = 2 (starlike) or 1.5
+    # max(|B2 + (1 - m mu) B1^2|, B1)/c3 per kind, m = 2 (starlike) or 1.5
     if kind is ST:
-        return max(abs(b2 + b1 * b1 - 2 * mu * b1 * b1), b1) / 2
-    return max(abs(b2 + b1 * b1 - 1.5 * mu * b1 * b1), b1) / 6
+        return max(abs(b2 + (1 - 2 * mu) * b1 * b1), b1) / 2
+    return max(abs(b2 + (1 - 1.5 * mu) * b1 * b1), b1) / 6
 
 
 def branch_fekete_szego(kind, b1, b2, mu):
@@ -450,9 +460,10 @@ class TestOneDefinitionPerFormula:
             fs = fekete_szego(kind, b1, b2, mu)
             assert same(fs, ref_fekete_szego(kind, b1, b2, mu))
             # the branch form states the same theorem: it differs only by
-            # rounding, at a tie, where it may pick the smaller candidate
+            # rounding, as it rounds B1^2 twice, and at a tie, where it may
+            # pick the smaller candidate
             branch = branch_fekete_szego(kind, b1, b2, mu)
-            assert branch <= fs <= branch + 1e-15 * (b1 * b1 * (1 + abs(mu)) + abs(b2) + b1)
+            assert abs(fs - branch) <= 1e-15 * (b1 * b1 * (1 + abs(mu)) + abs(b2) + b1)
             assert same(a2_bound(kind, b1), b1 if kind is ST else b1 / 2)
             t22, t31 = t22_bound(kind, b1, b2), t31_bound(kind, b1, b2)
             want22, want31 = ref_t22(kind, b1, b2), ref_t31(kind, b1, b2)

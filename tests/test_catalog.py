@@ -11,6 +11,16 @@ from toeplitz_bounds.catalog import PhiSpec, b_coeffs, phi_series, validate
 from toeplitz_bounds.series import from_coeffs
 
 
+def one(order):
+    """The series 1 of the given order."""
+    return from_coeffs((1,), order)
+
+
+def z(order):
+    """The series z of the given order."""
+    return from_coeffs((0, 1), order)
+
+
 def close(s, expected, tol=1e-12):
     return series.max_abs_diff(s, expected) <= tol
 
@@ -82,7 +92,7 @@ class TestElementwiseMaps:
         assert repr(got) == ("((1+0j), (1+0j), (0.5+0j), 0j, (-0.125+0j), 0j, "
                              "(0.0625+0j), 0j)")
         root = series.sqrt1p(from_coeffs((1, 0, 1), 7))
-        assert got == tuple(x + y for x, y in zip(series.z(7), root))
+        assert got == tuple(x + y for x, y in zip(z(7), root))
 
     def test_parabolic_is_one_plus_scaled_tail(self):
         got = phi_series(catalog.PARABOLIC, 4)
@@ -270,8 +280,8 @@ def ref_parabolic(order):
     a Cauchy product with the series z."""
     g = series.from_coeffs(1.0 / (2 * k + 1) for k in range(order + 1))
     g2 = series.mul(g, g)
-    shifted = series.mul(g2, series.z(order))
-    return tuple(x + 8 / math.pi**2 * y for x, y in zip(series.one(order), shifted))
+    shifted = series.mul(g2, z(order))
+    return tuple(x + 8 / math.pi**2 * y for x, y in zip(one(order), shifted))
 
 
 UNIT = st.floats(-1, 1)
@@ -342,7 +352,7 @@ class TestClosedFormValues:
     def test_equal_parameters_give_one(self):
         for a in (-0.3, 0.0, 0.3):
             got = phi_series(catalog.janowski(a, a), order=6)
-            assert got == series.one(6)
+            assert got == one(6)
             assert positive_zeros(got)
 
     def test_b_zero_tail_is_positive_zero(self):

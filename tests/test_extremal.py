@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toeplitz_bounds import catalog, cli, extremal, series
 from toeplitz_bounds.bounds import ClassKind, t22_bound, t31_bound
-from toeplitz_bounds.extremal import ExtremalFunction, _psi, h_phi, k_phi, residual
+from toeplitz_bounds.extremal import ExtremalFunction, _phi_coeffs, h_phi, k_phi, residual
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 
@@ -21,9 +23,56 @@ ONE_PER_KIND = [
 ]
 
 
+def reference_psi(spec, order):
+    """Coefficients of phi(i z) in complex arithmetic: the k-th coefficient
+    of phi times i^k."""
+    phi = catalog.phi_series(spec, order)
+    return tuple(c * (1, 1j, -1, -1j)[k % 4] for k, c in enumerate(phi))
+
+
+def reference_k_phi(spec, order):
+    """The complex recursion a_n = (1/(n-1)) * sum_{k=1}^{n-1} a_k psi_{n-k}."""
+    psi = reference_psi(spec, order)
+    a = [0j] * (order + 1)
+    a[1] = 1 + 0j
+    for n in range(2, order + 1):
+        acc = 0j
+        for k in range(1, n):
+            acc += a[k] * psi[n - k]
+        a[n] = acc / (n - 1)
+    return ExtremalFunction(ST, tuple(a))
+
+
+def reference_mul(a, b):
+    """The Cauchy product as an input-index scatter over complex coefficients."""
+    n = len(a) - 1
+    out = [0j] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ai * b[j]
+    return tuple(out)
+
+
+def reference_residual(ef, spec):
+    """The defining-equation defect in K space, in complex arithmetic."""
+    order = ef.order
+    psi = reference_psi(spec, order)
+    if ef.kind is ST:
+        zfp = tuple(n * c for n, c in enumerate(ef.coeffs))
+        return series.max_abs_diff(zfp, reference_mul(ef.coeffs, psi))
+    g = [0j] * (order + 1)
+    for m in range(order):
+        g[m] = (m + 1) * ef.coeffs[m + 1]
+    zgp = tuple(m * c for m, c in enumerate(g))
+    rhs = reference_mul(tuple(g), (0j,) + psi[1:])
+    return series.max_abs_diff(zgp[:order], rhs[:order])  # g_order is unknown
+
+
 def convex_recursion(spec, order):
     """The former convex recursion for g = H': m g_m = sum_{k<m} g_k psi_{m-k}."""
-    psi = _psi(spec, order)
+    psi = reference_psi(spec, order)
     g = [0j] * order
     g[0] = 1 + 0j
     for m in range(1, order):
@@ -69,7 +118,8 @@ class TestInitialCoefficients:
         # a1 too: 1 + 0j, not the int 1 (starlike) or the float 1.0 (convex)
         for ef in (k_phi(spec, 12), h_phi(spec, 12)):
             assert all(type(c) is complex for c in ef.coeffs)
-        assert type(_psi(spec, 12)) is tuple
+        c = _phi_coeffs(spec, 12)
+        assert type(c) is tuple and all(type(x) is float for x in c)
 
 
 class TestSharpness:
@@ -132,16 +182,18 @@ class TestRotation:
     def test_psi_equals_compose(self, spec):
         rot = series.from_coeffs((0, 1j), 50)
         want = series.compose(catalog.phi_series(spec, 50), rot)
-        assert _psi(spec, 50) == want
+        assert reference_psi(spec, 50) == want
+        c = _phi_coeffs(spec, 50)
+        assert tuple(x * (1, 1j, -1, -1j)[k % 4] for k, x in enumerate(c)) == want
 
 
 class TestOnePsiPerOp:
     """k_phi/h_phi and then residual on one spec object share one expansion
-    of phi(iz); _psi keeps only the last one, keyed by the spec's identity."""
+    of phi; _phi_coeffs keeps only the last one, keyed by the spec's identity."""
 
     @pytest.fixture(autouse=True)
     def empty_slot(self, monkeypatch):
-        monkeypatch.setattr(extremal, "_last_psi", (None, 0, ()))
+        monkeypatch.setattr(extremal, "_last_phi", (None, 0, ()))
 
     @pytest.fixture
     def expansions(self, monkeypatch):
@@ -164,24 +216,24 @@ class TestOnePsiPerOp:
 
     def test_reused_only_for_the_same_object_and_order(self, expansions):
         spec = catalog.custom(1.0, -0.9, 0.3)
-        assert _psi(spec, 10) is _psi(spec, 10)
+        assert _phi_coeffs(spec, 10) is _phi_coeffs(spec, 10)
         assert expansions == [10]
-        _psi(spec, 11)
-        _psi(catalog.PhiSpec(*spec), 11)  # equal to spec, but another object
+        _phi_coeffs(spec, 11)
+        _phi_coeffs(catalog.PhiSpec(*spec), 11)  # equal to spec, but another object
         assert expansions == [10, 11, 11]
 
     def test_equal_spec_with_other_zeros_keeps_its_repr(self):
         neg, pos = catalog.custom(1, -0.0), catalog.custom(1, 0.0)
         assert neg == pos and hash(neg) == hash(pos)
-        assert repr(_psi(neg, 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
-        assert repr(_psi(pos, 4)) == "((1+0j), 1j, (-0+0j), -0j, 0j)"
-        assert repr(_psi(neg, 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
+        assert repr(_phi_coeffs(neg, 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
+        assert repr(_phi_coeffs(pos, 4)) == "(1.0, 1.0, 0.0, 0.0, 0.0)"
+        assert repr(_phi_coeffs(neg, 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
 
     def test_a_freed_spec_cannot_lend_its_id(self):
         # without the slot's reference the first spec is freed after the
         # call, and the second one is likely built at the same address
-        assert repr(_psi(catalog.custom(1, -0.0), 4)) == "((1+0j), 1j, -0j, -0j, 0j)"
-        assert repr(_psi(catalog.custom(1, 0.0), 4)) == "((1+0j), 1j, (-0+0j), -0j, 0j)"
+        assert repr(_phi_coeffs(catalog.custom(1, -0.0), 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
+        assert repr(_phi_coeffs(catalog.custom(1, 0.0), 4)) == "(1.0, 1.0, 0.0, 0.0, 0.0)"
 
     @pytest.mark.parametrize("make", [k_phi, h_phi])
     def test_residual_still_checks_the_coefficients(self, make):
@@ -190,6 +242,93 @@ class TestOnePsiPerOp:
         coeffs[-2] += 1e-6
         assert residual(ef, catalog.PARABOLIC) <= 1e-12
         assert residual(ExtremalFunction(ef.kind, tuple(coeffs)), catalog.PARABOLIC) >= 1e-7
+
+
+REAL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
+
+
+@st.composite
+def real_specs(draw):
+    """A spec of any catalog kind; custom ones with real, often signed-zero, coefficients."""
+    kind = draw(st.sampled_from(catalog.KINDS))
+    if kind == "janowski":
+        b = draw(st.floats(-1, 1, exclude_max=True))
+        return catalog.janowski(draw(st.floats(b, 1, exclude_min=True)), b)
+    if kind in ("order-alpha", "exp"):
+        alpha = draw(st.floats(0, 1, exclude_max=True))
+        return (catalog.order_alpha if kind == "order-alpha" else catalog.alpha_exponential)(alpha)
+    if kind == "custom":
+        return catalog.custom(draw(st.floats(0.01, 3)), *draw(st.lists(REAL, max_size=4)))
+    return catalog.PhiSpec(kind)
+
+
+def spec_id(spec):
+    """The kind, and a custom spec's coefficients with their signed zeros."""
+    return spec.kind + (repr(spec.custom) if spec.custom else "")
+
+
+SIGNED_ZEROS = [catalog.custom(1, -1), catalog.custom(1, -0.0), catalog.custom(1, 0.0),
+                catalog.custom(1, 0.0, -0.0, 0.0), catalog.custom(0.5, -0.25, -0.0)]
+
+
+class TestRealArithmetic:
+    """k_phi and residual run on phi's real coefficients; the complex
+    recursion and K-space residual above are the reference they must match."""
+
+    @staticmethod
+    def check(spec, order):
+        built = (k_phi(spec, order), h_phi(spec, order))
+        refs = (reference_k_phi(spec, order), ExtremalFunction(CV, convex_recursion(spec, order)))
+        for ef, ref in zip(built, refs):
+            # repr tells apart the signed zeros that == would merge: every
+            # a_n, zero parts included, is the complex recursion's
+            assert list(map(repr, ef.coeffs)) == list(map(repr, ref.coeffs))
+            assert repr(residual(ef, spec)) == repr(reference_residual(ref, spec))
+            assert repr(residual(ref, spec)) == repr(reference_residual(ref, spec))
+
+    @settings(deadline=None, max_examples=60)
+    @given(real_specs(), st.integers(3, 120))
+    @example(catalog.custom(1, -1), 3)
+    @example(catalog.custom(1, -0.0), 120)
+    def test_matches_the_complex_recursion(self, spec, order):
+        self.check(spec, order)
+
+    @pytest.mark.parametrize("order", [3, 4, 10, 120])
+    @pytest.mark.parametrize("spec", ONE_PER_KIND + SIGNED_ZEROS, ids=spec_id)
+    def test_examples(self, spec, order):
+        self.check(spec, order)
+
+    @pytest.mark.parametrize("spec", SIGNED_ZEROS[1:3], ids=spec_id)
+    def test_an_underflowed_coefficient_keeps_its_signed_zero(self, spec):
+        # K = z exp(iz): the sum for a_179 = i^178/178! is a negative
+        # subnormal, which the division rounds to -0.0, not to +0.0
+        got = k_phi(spec, 200).coeffs
+        assert repr(got[179]) == "(-0+0j)"
+        assert list(map(repr, got)) == list(map(repr, reference_k_phi(spec, 200).coeffs))
+
+    def test_a3_of_a_cancelling_sum_is_a_positive_zero(self):
+        spec = catalog.custom(1, -1)
+        assert repr(k_phi(spec, 3).a3) == repr(reference_k_phi(spec, 3).a3) == "0j"
+
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_rejects_a_phi_with_complex_coefficients(self, make):
+        with pytest.raises(ValueError, match="real coefficients") as err:
+            make(catalog.custom(1, 0.5, 0.3j))
+        assert "\n" not in str(err.value)
+        # the tolerance itself is still real
+        assert make(catalog.custom(1, 0.5, 1e-12j)).order == 10
+
+    @pytest.mark.parametrize("turn", [0, 1], ids=["along", "across"])
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_residual_flags_a_perturbation_off_the_witness(self, make, turn):
+        # a_n lies on the axis i^(n-1); a kick along it changes p, across it q
+        spec = catalog.LUNE
+        ef = make(spec, 20)
+        for n in (2, 7, 12):
+            coeffs = list(ef.coeffs)
+            coeffs[n] += 1e-6 * (1, 1j, -1, -1j)[(n - 1 + turn) % 4]
+            bad = ExtremalFunction(ef.kind, tuple(coeffs))
+            assert residual(bad, spec) == reference_residual(bad, spec) >= 1e-7
 
 
 class TestAlexanderRelation:

@@ -38,8 +38,8 @@ def test_tracer_counts_a_verify_and_an_extremal(capsys, monkeypatch):
     # eval_batch; a change to those shapes would break --trace 1 here.
     from toeplitz_bounds import cli, extremal
 
-    # forget the phi(iz) expansion an earlier test may have left for reuse
-    monkeypatch.setattr(extremal, "_last_psi", (None, 0, ()))
+    # forget the phi expansion an earlier test may have left for reuse
+    monkeypatch.setattr(extremal, "_last_phi", (None, 0, ()))
     main = cli.main
     tracer = load_tracing().Tracer()
     watched = ("cli.main", "oracle.maximize", "kernels.polish", "kernels.eval_batch")

@@ -15,6 +15,16 @@ from toeplitz_bounds.series import from_coeffs
 from test_perfbench_bindings import layers
 
 
+def one(order):
+    """The series 1 of the given order."""
+    return from_coeffs((1,), order)
+
+
+def z(order):
+    """The series z of the given order."""
+    return from_coeffs((0, 1), order)
+
+
 def approx_equal(a, b, tol: float) -> bool:
     return series.max_abs_diff(a, b) <= tol
 
@@ -58,7 +68,7 @@ class TestBasicOps:
     def test_order_mismatch(self):
         for op in (series.mul, series.compose, series.max_abs_diff):
             with pytest.raises(ValueError, match="order mismatch: 2 != 3"):
-                op(series.z(2), series.z(3))
+                op(z(2), z(3))
 
     def test_mul_difference_of_squares(self):
         a = from_coeffs((1, 1), 2)
@@ -67,7 +77,7 @@ class TestBasicOps:
 
     def test_mul_identity(self):
         s = from_coeffs((2, 1j, -1), 2)
-        assert series.mul(s, series.one(2)) == s
+        assert series.mul(s, one(2)) == s
 
     def test_mul_truncates(self):
         s = from_coeffs((1, 1, 1), 2)
@@ -80,12 +90,11 @@ class TestBasicOps:
         a = from_coeffs((5, 0, 0), 2)
         assert math.isnan(series.max_abs_diff(a, tuple(cs)))
 
-    def test_max_abs_diff_upto(self):
+    def test_max_abs_diff_is_the_largest_difference(self):
         a = from_coeffs((1, 2, 3), 2)
-        b = from_coeffs((1, 2.5, 13), 2)
-        assert series.max_abs_diff(a, b) == 10
-        assert series.max_abs_diff(a, b, upto=1) == 0.5
-        assert series.max_abs_diff(a, b, upto=0) == 0
+        assert series.max_abs_diff(a, from_coeffs((1, 2.5, 13), 2)) == 10
+        assert series.max_abs_diff(a, from_coeffs((1, 12, 3.5), 2)) == 10
+        assert series.max_abs_diff(a, a) == 0
 
     def test_from_coeffs_cuts_and_pads(self):
         assert from_coeffs((1, 2, 3), 1) == (1, 2)
@@ -110,7 +119,7 @@ class TestCompose:
 
     def test_identity_inner(self):
         s = from_coeffs((1, -2, 1j), 2)
-        assert approx_equal(series.compose(s, series.z(2)), s, 1e-15)
+        assert approx_equal(series.compose(s, z(2)), s, 1e-15)
 
     def test_affine_outer(self):
         outer = from_coeffs((1, 1), 2)
@@ -120,7 +129,11 @@ class TestCompose:
 
     def test_rejects_nonzero_constant(self):
         with pytest.raises(ValueError, match="zero constant"):
-            series.compose(series.one(2), series.one(2))
+            series.compose(one(2), one(2))
+
+    def test_accepts_a_constant_up_to_the_tolerance(self):
+        inner = from_coeffs((series.COMPOSE_TOL, 1), 2)
+        assert series.compose(from_coeffs((0, 1), 2), inner) == inner
 
 
 class TestSqrt1p:
@@ -130,22 +143,22 @@ class TestSqrt1p:
         assert s == (1, 0, 0.5, 0, -0.125)
 
     def test_sqrt_of_one(self):
-        assert series.sqrt1p(series.one(4)) == series.one(4)
+        assert series.sqrt1p(one(4)) == one(4)
 
     def test_parabolic_construction(self):
         # (2/pi^2)(2 artanh t)^2 with t^2 = z gives B1 = 8/pi^2,
         # B2 = 16/(3 pi^2), B3 = 184/(45 pi^2).
         order = 3
         g = from_coeffs(1 / (2 * k + 1) for k in range(order + 1))
-        phi = add(series.one(order),
-                  scale(8 / math.pi**2, series.mul(series.mul(g, g), series.z(order))))
+        phi = add(one(order),
+                  scale(8 / math.pi**2, series.mul(series.mul(g, g), z(order))))
         pi2 = math.pi**2
         expected = from_coeffs((1, 8 / pi2, 16 / (3 * pi2), 184 / (45 * pi2)), order)
         assert approx_equal(phi, expected, 1e-15)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="constant term exactly 1"):
-            series.sqrt1p(series.z(2))
+            series.sqrt1p(z(2))
         with pytest.raises(ValueError, match="constant term exactly 1"):
             series.sqrt1p(from_coeffs((1 + 1e-15, 1), 2))
 
@@ -190,6 +203,58 @@ class TestRingProperties:
         s = unit_constant(scale(0.2, s))
         r = series.sqrt1p(s)
         assert approx_equal(series.mul(r, r), s, 1e-10)
+
+
+def scatter_mul(a, b):
+    """The Cauchy product as an input-index scatter over complex coefficients."""
+    n = len(a) - 1
+    out = [0j] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ai * b[j]
+    return tuple(out)
+
+
+REAL_ITEMS = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10)),
+                      min_size=1, max_size=9)
+
+
+class TestRealCoefficients:
+    """On real floats mul and sqrt1p return floats, and give the real parts of
+    the complex computation bit for bit: the O(N^2) work of catalog and
+    extremal runs on floats."""
+
+    @given(random_series_triple())
+    def test_mul_is_the_scatter_bitwise(self, abc):
+        a, b, _ = abc
+        a = (0j,) + a[1:]  # a zero coefficient, which the scatter skips
+        assert repr(series.mul(a, b)) == repr(scatter_mul(a, b))
+
+    @given(REAL_ITEMS, REAL_ITEMS)
+    def test_mul_on_floats(self, xs, ys):
+        n = min(len(xs), len(ys))
+        a, b = tuple(xs[:n]), tuple(ys[:n])
+        got = series.mul(a, b)
+        assert all(type(x) is float for x in got)
+        assert repr(from_coeffs(got)) == repr(scatter_mul(from_coeffs(a), from_coeffs(b)))
+
+    def test_mul_sums_in_index_order(self):
+        # (1e16 - 1e16) + 1 is 1 in floats, but (1 - 1e16) + 1e16 is 0
+        a, b = (1e16, -1e16, 1.0), (1.0, 1.0, 1.0)
+        assert series.mul(a, b)[2] == 1.0
+        assert series.mul(a[::-1], b)[2] == 0.0
+
+    @given(REAL_ITEMS)
+    def test_sqrt1p_on_floats(self, xs):
+        a = (1.0,) + tuple(0.2 * x for x in xs)
+        got = series.sqrt1p(a)
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        assert from_coeffs(got) == series.sqrt1p(from_coeffs(a))
+
+    def test_sqrt1p_of_a_float_one_is_a_float_one(self):
+        assert repr(series.sqrt1p((1.0, 0.0, 0.0))) == "(1.0, 0.0, 0.0)"
 
 
 def names_taken_from_series() -> set[str]:
@@ -237,7 +302,7 @@ def test_caller_scan_sees_the_known_callers():
     """The guard above is only as good as its scan: it must see the calls
     catalog and extremal make, and the tracer's bindings."""
     used = names_taken_from_series()
-    assert {"from_coeffs", "one", "z", "mul", "sqrt1p", "max_abs_diff"} <= used
+    assert {"from_coeffs", "mul", "sqrt1p", "max_abs_diff"} <= used
     assert ("series", "compose") in set(layers())
 
 
@@ -271,7 +336,6 @@ class TestTupleContract:
         assert all_complex(series.mul(a, b))
         assert all_complex(series.compose(a, zero_constant(b)))
         assert all_complex(series.sqrt1p(unit_constant(a)))
-        assert all_complex(series.one(n)) and all_complex(series.z(n))
 
     @settings(deadline=None)
     @given(st.sampled_from(catalog.KINDS), st.integers(2, 40),
