@@ -151,9 +151,8 @@ def _lune_series(order: int) -> tuple[complex, ...]:
 
 def _parabolic_series(order: int) -> tuple[complex, ...]:
     # 1 + (2/pi^2) (log((1+t)/(1-t)))^2 with t = sqrt(z).  The log equals
-    # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so the square is an honest series
-    # in z: 1 + (8/pi^2) * z * g(z)^2, where the factor z is a shift.  On
-    # floats; g^2 is needed only to order-1.
+    # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so this is 1 + (8/pi^2) z g(z)^2,
+    # on floats; the factor z is a shift, so g^2 is needed only to order-1.
     g = tuple(1.0 / (2 * k + 1) for k in range(order))
     return series.from_coeffs((1.0,) + tuple(8 / math.pi**2 * y for y in series.mul(g, g)))
 

@@ -7,12 +7,8 @@ H' = K/z and a_n(H) = a_n(K)/n: a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and
 a2 = i*B1/2, a3 = -(B1^2 + B2)/6 for H.  Under the theorem hypotheses,
 |T2(2)| and |T3(1)| there equal the closed-form bounds exactly.
 
-A Ma-Minda phi is symmetric about the real axis, so its coefficients c_k
-are real and a_n(K) = i^(n-1) alpha_n with real alpha_n.  The recursion
-and the residual run on floats, at half the cost of complex arithmetic,
-and each complex product they replace had one nonzero part, the real
-product, so the bits are the same.  Sums are explicit loops, not ``sum``
-(which compensates float sums from Python 3.12).
+phi's coefficients c_k are real (see ``series``), so a_n(K) = i^(n-1) alpha_n
+with real alpha_n: the recursion and the residual run on floats.
 """
 
 from __future__ import annotations
@@ -55,10 +51,9 @@ _last_phi: tuple = (None, 0, ())  # (spec, order, c); holding spec keeps its id 
 
 
 def _phi_coeffs(spec: PhiSpec, order: int) -> tuple[float, ...]:
-    """The real Taylor coefficients c_0 .. c_order of phi.
-
-    The last result is reused for the same spec object and order.  Not for
-    an == spec: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
+    """Re of phi's coefficients c_0 .. c_order, as ``b_coeffs`` reads B1, B2.
+    The last result is reused for the same spec object and order, not an ==
+    one: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
     global _last_phi
     last_spec, last_order, c = _last_phi  # one read, so a racing call cannot mix slots
     if last_spec is spec and last_order == order:
@@ -104,8 +99,9 @@ def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
 
     Starlike: z K' - K * phi(iz), checked at every index up to the order.
     Convex: z H'' - H' * (phi(iz) - 1), checked up to order-1 because the
-    last coefficient of H' is not determined at this truncation.  Each a_n/i^(n-1)
-    splits exactly into parts p and q; q is 0 unless a_n left the axis i^(n-1).
+    last coefficient of H' is not determined at this truncation.  The defect is
+    measured against Re phi (see _phi_coeffs).  Each a_n/i^(n-1) splits exactly
+    into parts p and q; q is 0 unless a_n left the axis i^(n-1).
     """
     order = ef.order
     c = _phi_coeffs(spec, order)

@@ -3,16 +3,15 @@
 A series of order N is a plain tuple of the coefficients of z^0 .. z^N,
 complex or real floats; every operation truncates its result at the
 common order, and mul and sqrt1p keep the coefficient type they are given.
-A Ma-Minda phi has real coefficients, and on floats the O(N^2) loops cost
-half as much.
-Sums are explicit loops: from Python 3.12 the builtin ``sum`` adds floats
-with compensation, which would move the last bits.  Tuples are immutable
-and all operations are pure, so series can be shared freely.
+A Ma-Minda phi is symmetric about the real axis, so its coefficients are
+real: on floats the O(N^2) loops cost half as much, and the products keep
+their bits, as the real part of (x+0j)*(y+0j) is exactly x*y.  Sums are
+explicit loops: from Python 3.12 the builtin ``sum`` adds floats with
+compensation, which would move the last bits.  Tuples are immutable and
+all operations are pure, so series can be shared freely.
 
-Only what the package runs lives here: the Cauchy product, composition
-and the square root of a series with constant term 1.  Sums and scalings
-are element-wise ``zip`` expressions at their callers; closed forms
-(janowski, exp) are built in ``catalog``.
+Only the Cauchy product, composition and the square root of a series with
+constant term 1 live here; sums, scalings and closed forms are at callers.
 """
 
 from __future__ import annotations
@@ -71,11 +70,10 @@ def compose(outer: tuple[complex, ...], inner: tuple[complex, ...]) -> tuple[com
 def sqrt1p(a: tuple) -> tuple:
     """Square root of a series with constant term 1, branch with s(0)=1;
     each s_m overwrites a copy of a_m, so s keeps a's coefficient type."""
-    n = len(a) - 1
     if a[0] != 1:
         raise ValueError("sqrt1p requires constant term exactly 1")
     s = list(a)
-    for m in range(1, n + 1):
+    for m in range(1, len(a)):
         acc = a[m]
         for k in range(1, m):
             acc -= s[k] * s[m - k]

@@ -370,20 +370,21 @@ def ref_fekete_szego(kind, b1, b2, mu):
 
 
 def branch_fekete_szego(kind, b1, b2, mu):
-    """The three branches in mu of the Fekete-Szego theorem, as first written."""
+    """The three branches in mu of the Fekete-Szego theorem, as first written,
+    with the modulus branches in the one-B1^2 form of ref_fekete_szego."""
     if kind is ST:
         t = 2 * b1 * b1 * mu
         if t <= b2 + b1 * b1 - b1:
-            return (b2 + b1 * b1 - 2 * mu * b1 * b1) / 2
+            return (b2 + (1 - 2 * mu) * b1 * b1) / 2
         if t <= b2 + b1 * b1 + b1:
             return b1 / 2
-        return (-b2 - b1 * b1 + 2 * mu * b1 * b1) / 2
+        return -(b2 + (1 - 2 * mu) * b1 * b1) / 2
     t = 3 * b1 * b1 * mu
     if t <= 2 * (b2 + b1 * b1 - b1):
-        return (b2 + b1 * b1 - 1.5 * mu * b1 * b1) / 6
+        return (b2 + (1 - 1.5 * mu) * b1 * b1) / 6
     if t <= 2 * (b2 + b1 * b1 + b1):
         return b1 / 6
-    return (-b2 - b1 * b1 + 1.5 * mu * b1 * b1) / 6
+    return -(b2 + (1 - 1.5 * mu) * b1 * b1) / 6
 
 
 def ref_slack(b1, b2):
@@ -460,10 +461,9 @@ class TestOneDefinitionPerFormula:
             fs = fekete_szego(kind, b1, b2, mu)
             assert same(fs, ref_fekete_szego(kind, b1, b2, mu))
             # the branch form states the same theorem: it differs only by
-            # rounding, as it rounds B1^2 twice, and at a tie, where it may
-            # pick the smaller candidate
+            # rounding, at a tie, where it may pick the smaller candidate
             branch = branch_fekete_szego(kind, b1, b2, mu)
-            assert abs(fs - branch) <= 1e-15 * (b1 * b1 * (1 + abs(mu)) + abs(b2) + b1)
+            assert branch <= fs <= branch + 1e-15 * (b1 * b1 * (1 + abs(mu)) + abs(b2) + b1)
             assert same(a2_bound(kind, b1), b1 if kind is ST else b1 / 2)
             t22, t31 = t22_bound(kind, b1, b2), t31_bound(kind, b1, b2)
             want22, want31 = ref_t22(kind, b1, b2), ref_t31(kind, b1, b2)
