@@ -195,11 +195,8 @@ def cmd_verify(args) -> int:
     spec = spec_from_args(args)
     kind = ClassKind.parse(args.kind)
     rep = full_report(spec, kind)
-    cfg = OracleConfig(
-        samples=args.samples,
-        seed=args.seed,
-        polish_steps=args.polish_steps,
-    )
+    cfg = OracleConfig(samples=args.samples, seed=args.seed,
+                       polish_steps=args.polish_steps)
     ef, res = _extremal(spec, kind, args.order)
     lines = []
     all_ok = True

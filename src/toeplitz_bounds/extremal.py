@@ -39,12 +39,12 @@ class ExtremalFunction(NamedTuple):
     @property
     def t22_value(self) -> float:
         """|T2(2)| at this function's (a2, a3)."""
-        return _kernels.functional(_kernels.T22, 0.0, self.a2, self.a3)
+        return _kernels.functional(_kernels.T22, self.a2, self.a3)
 
     @property
     def t31_value(self) -> float:
         """|T3(1)| at this function's (a2, a3)."""
-        return _kernels.functional(_kernels.T31, 0.0, self.a2, self.a3)
+        return _kernels.functional(_kernels.T31, self.a2, self.a3)
 
 
 _last_phi: tuple = (None, 0, ())  # (spec, order, c); holding spec keeps its id unique

@@ -94,7 +94,7 @@ def eval_functional(functional: str, a2: complex, a3: complex,
     """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| evaluated with complex arithmetic."""
     if functional not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    return _kernels.functional(_FUNCTIONALS.index(functional), mu, a2, a3)
+    return _kernels.functional(_FUNCTIONALS.index(functional), a2, a3, mu)
 
 
 def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +113,9 @@ def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray
     h, nb = len(head), n // 2
     t = rng.random(2 * n - nb, dtype=np.float32) * np.float32(2.0 * np.pi)
     r = rng.random(n - nb) ** 0.25
-    cos, sin = np.cos(t), np.sin(t)  # w1 at [:n], interior w2 at [n:]
-    scale = np.sqrt(np.square(cos, dtype=np.float64) + np.square(sin, dtype=np.float64))
+    cos, sin = np.cos(t).astype(np.float64), np.sin(t).astype(np.float64)
+    scale = np.square(cos)  # w1 at [:n], interior w2 at [n:]
+    np.sqrt(np.add(scale, np.square(sin), out=scale), out=scale)
     scale[nb:n] /= r
     scale[n:] /= 1.0 - r * r
     w1, w2 = np.zeros((2, h + n), dtype=np.complex128)
@@ -152,24 +153,20 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     func_ids = [_FUNCTIONALS.index(name) for name in names]
     base, extra = divmod(config.samples, SHARDS)
 
-    tops = [[] for _ in names]  # per functional: each shard's top-k
+    tops = []  # per shard: (values, w1, w2) of each functional's best draws, a row each
     for shard in range(min(SHARDS, config.samples)):
         w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
         a2, a3 = _kernels.a2a3(kind.id, b1, b2, w1, w2)
-        for func_id, shard_tops in zip(func_ids, tops):
-            vals = _kernels.eval_batch(func_id, mu, a2, a3)
-            keep = min(TOP_CANDIDATES, len(vals))
-            top = np.argpartition(vals, -keep)[-keep:]
-            shard_tops.append((vals[top], w1[top], w2[top]))
-
-    results = []
-    for name, func_id, shard_tops in zip(names, func_ids, tops):
-        vals, w1, w2 = map(np.concatenate, zip(*shard_tops))
-        best = np.argsort(-vals, kind="stable")[:TOP_CANDIDATES]
-        sup, p1, p2 = _kernels.polish(kind.id, b1, b2, func_id, mu, w1[best], w2[best],
-                                      config.polish_steps)
-        results.append(OracleResult(
-            functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
-            samples=config.samples + len(DISTINGUISHED), seed=seed,
-            polish_steps=config.polish_steps))
-    return results[0] if isinstance(functional, str) else tuple(results)
+        vals = [_kernels.eval_batch(func_id, mu, a2, a3) for func_id in func_ids]
+        keep = min(TOP_CANDIDATES, len(w1))
+        top = np.array([np.argpartition(v, -keep)[-keep:] for v in vals])
+        tops.append((np.array([v[k] for v, k in zip(vals, top)]), w1[top], w2[top]))
+    vals, w1, w2 = (np.concatenate(part, axis=1) for part in zip(*tops))
+    best = np.argsort(-vals, axis=1, kind="stable")[:, :TOP_CANDIDATES]
+    w1, w2 = (np.take_along_axis(w, best, axis=1) for w in (w1, w2))
+    _, rows = _kernels.polish(kind.id, b1, b2, func_ids, mu, w1, w2, config.polish_steps)
+    results = tuple(OracleResult(
+        functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
+        samples=config.samples + len(DISTINGUISHED), seed=seed,
+        polish_steps=config.polish_steps) for name, (sup, p1, p2) in zip(names, rows))
+    return results[0] if isinstance(functional, str) else results

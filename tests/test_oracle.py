@@ -1,6 +1,7 @@
 """Tests for the brute-force maximization oracle."""
 
 import cmath
+import hashlib
 
 import numpy as np
 import pytest
@@ -50,6 +51,12 @@ def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
     c2 = 2 * (p.w2 + p.w1 * p.w1)
     a2c, a3c = a2a3_from_caratheodory(kind, b1, b2, c1, c2)
     return max(abs(a2w - a2c), abs(a3w - a3c))
+
+
+def polish_one(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
+    """``_kernels.polish`` on the candidates of one functional: its (value, w1, w2)."""
+    return _kernels.polish(kind_id, b1, b2, (func_id,), mu, np.reshape(w1, (1, -1)),
+                           np.reshape(w2, (1, -1)), halvings)[1][0]
 
 
 FAST = OracleConfig(samples=20_000, seed=7, polish_steps=30)
@@ -247,6 +254,9 @@ class TestMaximize:
 
 
 class TestKernels:
+    def test_fekete_szego_default_mu_is_zero(self):
+        assert _kernels.functional(FS, 1j, 0.5) == 0.5  # |a3 - 0*a2^2|, not |0.5 + 1|
+
     @pytest.mark.parametrize("kind_id", [0, 1])
     @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
     def test_batch_matches_scalar(self, kind_id, func_id):
@@ -262,7 +272,7 @@ class TestKernels:
             # polish evaluates numpy scalars, eval_functional Python complex
             for s1, s2 in ((p1, p2), (complex(p1), complex(p2))):
                 a2, a3 = _kernels.a2a3(kind_id, b1, b2, s1, s2)
-                scalar = _kernels.functional(func_id, mu, a2, a3)
+                scalar = _kernels.functional(func_id, a2, a3, mu)
                 assert value == pytest.approx(scalar, rel=1e-14, abs=1e-14)
 
     def test_polish_never_calls_eval_batch(self, monkeypatch):
@@ -270,8 +280,8 @@ class TestKernels:
             raise AssertionError("polish must evaluate scalars itself")
 
         monkeypatch.setattr(_kernels, "eval_batch", forbidden)
-        val, w1, w2 = _kernels.polish(0, 2.0, 2.0, _kernels.T22, 0.0,
-                                      np.complex128(0.9j), np.complex128(0.1), 40)
+        val, w1, w2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0,
+                                 np.complex128(0.9j), np.complex128(0.1), 40)
         assert val == pytest.approx(13.0, abs=1e-3)
         assert SchwarzPoint(complex(w1), complex(w2)).in_region()
 
@@ -289,6 +299,16 @@ class TestSampleShard:
         assert len(w1) == len(w2) == n + (len(oracle.DISTINGUISHED) if shard == 0 else 0)
         start, mid = len(w1) - n, len(w1) - n + n // 2
         return (w1[start:mid], w2[start:mid]), (w1[mid:], w2[mid:])
+
+    @pytest.mark.parametrize("seed,shard,n,digest", [
+        (7, 0, 25_000, "a7d145550400144d6054bc4bb703fd15a6d806c803c439a258e1f40f74911987"),
+        (11, 3, 25_001, "e6972dccea4cccd35950de3da6c71407d4315ed0b9e77451a598b5733dddffb0"),
+        (5, 1, 1, "574bf8633f82c4c8484cc559e860b5acb12653bde84f386c15dfff74a3f55dd4"),
+    ])
+    def test_draws_are_pinned_bytewise(self, seed, shard, n, digest):
+        # every bit of every draw, zero signs included, as the sampler first gave them
+        w1, w2 = oracle._sample_shard(seed, shard, n)
+        assert hashlib.sha256(w1.tobytes() + w2.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed,shard,n", CASES)
     def test_every_draw_is_in_the_region(self, seed, shard, n):
@@ -351,18 +371,19 @@ class TestSampleShard:
     def test_polish_starts_from_the_best_draws(self, monkeypatch):
         starts = []
 
-        def recorded(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
-            starts.append((func_id, w1, w2))
-            return 0.0, 0j, 0j
+        def recorded(kind_id, b1, b2, func_ids, mu, w1, w2, halvings):
+            starts.extend(zip(func_ids, w1, w2))
+            return 0.0, ((0.0, 0j, 0j),) * len(func_ids)
 
         monkeypatch.setattr(_kernels, "polish", recorded)
         maximize(CV, 1.3, -0.4, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
+        assert [func_id for func_id, _, _ in starts] == [_kernels.T22, _kernels.T31]
         # every value at the length maximize evaluates it: rounding depends on it
         shards = [oracle._sample_shard(7, shard, 250) for shard in range(oracle.SHARDS)]
         for func_id, w1, w2 in starts:
             value = {}
             for s1, s2 in shards:
-                vals = _kernels.functional(func_id, 0.0, *_kernels.a2a3(1, 1.3, -0.4, s1, s2))
+                vals = _kernels.functional(func_id, *_kernels.a2a3(1, 1.3, -0.4, s1, s2))
                 value.update(zip(zip(s1.tolist(), s2.tolist()), vals.tolist()))
             assert len(w1) == oracle.TOP_CANDIDATES
             best = sorted(value[p] for p in zip(w1.tolist(), w2.tolist()))
@@ -380,7 +401,7 @@ class TestSampleShard:
         for name in calls:
             monkeypatch.setattr(_kernels, name, counted(name, getattr(_kernels, name)))
         # polish evaluates through a2a3 as well: a stub keeps maximize's own calls
-        monkeypatch.setattr(_kernels, "polish", lambda *args: (0.0, 0j, 0j))
+        monkeypatch.setattr(_kernels, "polish", lambda *args: (0.0, ((0.0, 0j, 0j),) * 2))
         maximize(ST, 1.0, 0.5, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
         assert calls == {"a2a3": oracle.SHARDS, "eval_batch": 2 * oracle.SHARDS}
 
@@ -425,23 +446,32 @@ def test_documented_defaults(monkeypatch):
 class TestPolish:
     def test_reaches_supremum_on_the_circle(self):
         # Coordinate ascent stalled at 12.99976 here, on |w1| = 1.
-        val, _, _ = _kernels.polish(0, 2.0, 2.0, _kernels.T22, 0.0,
-                                    np.complex128(0.9j), np.complex128(0.1), 40)
+        val, _, _ = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0,
+                               np.complex128(0.9j), np.complex128(0.1), 40)
         assert val == pytest.approx(13.0, abs=1e-9)
 
     @pytest.mark.parametrize("witness", [1j, -1j])
     def test_batch_returns_best_point_and_keeps_witness(self, witness):
-        # The benchmark's tracer reads float(result[0]) of each polish call.
         pts = random_points(16, seed=11)
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
         w1[5], w2[5] = witness, 0
         start = _kernels.eval_batch(_kernels.T22, 0.0, *_kernels.a2a3(0, 2.0, 2.0, w1, w2))
-        val, p1, p2 = _kernels.polish(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2, 40)
+        val, p1, p2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2, 40)
         assert (type(val), type(p1), type(p2)) == (float, complex, complex)
         assert SchwarzPoint(p1, p2).in_region()
         assert val >= start[5]
         assert val == pytest.approx(13.0, abs=1e-12)
+
+    def test_first_item_is_the_largest_row_value(self):
+        # The benchmark's tracer reads float(result[0]) of each polish call.
+        pts = random_points(32, seed=11)
+        w1 = np.array([p.w1 for p in pts]).reshape(2, 16)
+        w2 = np.array([p.w2 for p in pts]).reshape(2, 16)
+        best, rows = _kernels.polish(1, 1.3, -0.4, (_kernels.T22, _kernels.T31), 0.0,
+                                     w1, w2, 3)
+        assert type(best) is float and len(rows) == 2
+        assert best == max(value for value, _, _ in rows) == rows[1][0]
 
     @pytest.mark.parametrize("kind_id", [0, 1])
     @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
@@ -451,7 +481,7 @@ class TestPolish:
         w1 = np.array([1j, -1, 0.6 + 0.8j, 0.3, 1.5])
         w2 = np.array([0, 0, 0, 0.2j, 0])
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            _kernels.polish(kind_id, 1.3, -0.4, func_id, 0.7, w1, w2, 12)
+            polish_one(kind_id, 1.3, -0.4, func_id, 0.7, w1, w2, 12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
@@ -462,8 +492,8 @@ class TestPolish:
         pts = random_points(6, seed=seed)
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
-        batch = _kernels.polish(kind_id, b1, b2, func_id, 0.7, w1, w2, 12)
-        single = max(_kernels.polish(kind_id, b1, b2, func_id, 0.7, p.w1, p.w2, 12)[0]
+        batch = polish_one(kind_id, b1, b2, func_id, 0.7, w1, w2, 12)
+        single = max(polish_one(kind_id, b1, b2, func_id, 0.7, p.w1, p.w2, 12)[0]
                      for p in pts)
         assert batch[0] == pytest.approx(single, rel=1e-14, abs=0)
 
@@ -482,7 +512,7 @@ class TestArgmaxCarriesItsValue:
         pts = random_points(6, seed=seed)
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
-        val, p1, p2 = _kernels.polish(kind_id, b1, b2, func_id, mu, w1, w2, halvings)
+        val, p1, p2 = polish_one(kind_id, b1, b2, func_id, mu, w1, w2, halvings)
         at, scale = value_and_scale(kind_id, b1, b2, func_id, mu, p1, p2)
         assert abs(val - at) <= 1e-13 * scale
 
@@ -518,7 +548,7 @@ def value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2):
     """
     a2, a3 = _kernels.a2a3(kind_id, b1, b2, w1, w2)
     scale = (1.0 + abs(mu)) * (1.0 + abs(a2) ** 2 + abs(a3)) ** 2
-    return _kernels.functional(func_id, mu, a2, a3), scale
+    return _kernels.functional(func_id, a2, a3, mu), scale
 
 
 class TestInvariance:
@@ -576,6 +606,6 @@ class TestMaximumModulus:
             kind_id, b1, b2, np.array([w1]), np.array([w2])))[0]
         a2, a3 = a2a3_from_caratheodory(kind, b1, b2, 2 * w1,
                                         2 * (cap * self.CIRCLE + w1 * w1))
-        on_circle = _kernels.functional(func_id, mu, a2, a3).max()
+        on_circle = _kernels.functional(func_id, a2, a3, mu).max()
         _, scale = value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2)
         assert inside <= on_circle + 1e-9 * scale

@@ -46,14 +46,17 @@ def test_tracer_counts_a_verify_and_an_extremal(capsys, monkeypatch):
     with tracer.installed():
         with tracer.op():
             assert cli.main(["verify", "--class", "sine", "--seed", "7"]) == 0
-        # 200 000 draws plus the 8 distinguished points, once per functional
-        assert [tracer.calls[name] for name in watched] == [1, 1, 2, 16]
+        # 200 000 draws plus the 8 distinguished points, evaluated once per
+        # functional; one polish searches both functionals' candidates
+        assert [tracer.calls[name] for name in watched] == [1, 1, 1, 16]
         assert tracer.points == 2 * 200_008
+        # the sampled (+-i, 0) already attains both sine bounds
+        assert (tracer.maximize_calls, tracer.polish_wins) == (1, 0)
         # b_coeffs in full_report, then one phi(iz) for k_phi and residual
         assert tracer.calls["catalog.phi_series"] == 2
         with tracer.op():
             assert cli.main(["extremal", "--class", "lune", "--order", "100"]) == 0
-        assert [tracer.calls[name] for name in watched] == [2, 1, 2, 16]
+        assert [tracer.calls[name] for name in watched] == [2, 1, 1, 16]
         assert tracer.points == 2 * 200_008
         assert tracer.calls["catalog.phi_series"] == 2 + 1  # phi(iz) only
     assert tracer.ops == 2

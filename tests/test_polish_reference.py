@@ -1,7 +1,10 @@
 """``_kernels.polish`` byte for byte against a frozen copy of itself.
 
 The copy below is ``polish`` and ``_project`` (with the ``a2a3`` and
-``functional`` they evaluate) as they stand, kept here as the reference.
+``functional`` they evaluate) as they stood when ``polish`` searched one
+functional per call, kept here as the reference.  ``polish`` now searches
+a row of candidates per functional in one loop, and each row must come
+out as this copy searching that row alone.
 The oracle's pinned results and the CLI transcript print the argmax, so a
 change in the sign of a zero that polish returns changes their bytes; the
 other tests compare values with ``==``, which does not see it.  A change
@@ -94,25 +97,40 @@ ON_CIRCLE = st.one_of(
 
 
 @st.composite
-def candidate_sets(draw):
-    n = draw(st.integers(1, 16))
+def candidate_sets(draw, n):
     # points on |w1| = 1, or anywhere in the square: polish projects them first
     w1 = [draw(st.one_of(ON_CIRCLE, st.builds(complex, PART, PART))) for _ in range(n)]
     w2 = [draw(st.builds(complex, PART, PART)) for _ in range(n)]
     return np.array(w1, dtype=np.complex128), np.array(w2, dtype=np.complex128)
 
 
+@st.composite
+def stacked_sets(draw):
+    """1 to 3 distinct functional ids, each with a row of 1 to 16 candidates."""
+    func_ids = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3,
+                             unique=True))
+    n = draw(st.integers(1, 16))
+    rows = [draw(candidate_sets(n)) for _ in func_ids]
+    w1, w2 = zip(*rows)
+    return tuple(func_ids), np.array(w1), np.array(w2)
+
+
 @settings(max_examples=60, deadline=None)
-@given(candidate_sets(), st.sampled_from([0, 1]), st.sampled_from([0, 1, 2]),
+@given(stacked_sets(), st.sampled_from([0, 1]),
        st.floats(0.05, 3.0), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
        st.integers(0, 40))
 # the winner sits on the circle with w2 = -0 - 0j: the projection must
 # return +0.0 for both parts of w2, not the -0.0 that scaling by 0 gives
-@example((np.array([1j]), np.array([complex(-0.0, -0.0)])), 0, 0, 1.0, 0.0, 0.0, 0)
-@example((np.array([-1 + 0j, 0.5j]), np.array([complex(-0.5, -0.25), 0.2])),
-         1, 1, 1.3, -0.4, 0.7, 3)
-def test_polish_matches_frozen_copy_bytewise(cands, kind_id, func_id, b1, b2, mu, halvings):
-    w1, w2 = cands
-    got = _kernels.polish(kind_id, b1, b2, func_id, mu, w1.copy(), w2.copy(), halvings)
-    want = ref_polish(kind_id, b1, b2, func_id, mu, w1.copy(), w2.copy(), halvings)
-    assert fingerprint(got) == fingerprint(want)
+@example(((0,), np.array([[1j]]), np.array([[complex(-0.0, -0.0)]])), 0, 1.0, 0.0, 0.0, 0)
+@example(((1,), np.array([[-1 + 0j, 0.5j]]), np.array([[complex(-0.5, -0.25), 0.2]])),
+         1, 1.3, -0.4, 0.7, 3)
+def test_polish_matches_frozen_copy_bytewise(stacked, kind_id, b1, b2, mu, halvings):
+    func_ids, w1, w2 = stacked
+    best, rows = _kernels.polish(kind_id, b1, b2, func_ids, mu, w1.copy(), w2.copy(),
+                                 halvings)
+    assert len(rows) == len(func_ids)
+    for func_id, got, row1, row2 in zip(func_ids, rows, w1, w2):
+        want = ref_polish(kind_id, b1, b2, func_id, mu, row1.copy(), row2.copy(),
+                          halvings)
+        assert fingerprint(got) == fingerprint(want)
+    assert best.hex() == max(value for value, _, _ in rows).hex()
