@@ -38,13 +38,6 @@ class ClassKind(enum.Enum):
         member._value_, member.id, member.scale = value, kind_id, scale
         return member
 
-    @classmethod
-    def parse(cls, text: str) -> "ClassKind":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown class kind {text!r}") from None
-
 
 class BoundFragment(NamedTuple):
     """A determinant bound value plus whether its hypothesis holds."""
@@ -140,12 +133,17 @@ def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
     return notes
 
 
-def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
-    """Every bound for one (phi, class kind) pair, from b_coeffs' one expansion of phi."""
+def admissible_b12(spec: PhiSpec) -> tuple[float, float]:
+    """(B1, B2) of an admissible phi; an inadmissible one is a ValueError."""
     verdict = validate(spec)
     if not verdict.ok:
         raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
-    b1, b2 = b_coeffs(spec)
+    return b_coeffs(spec)
+
+
+def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
+    """Every bound for one (phi, class kind) pair, from b_coeffs' one expansion of phi."""
+    b1, b2 = admissible_b12(spec)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
     if not (math.isfinite(t22.value) and math.isfinite(t31.value)):

@@ -1,12 +1,8 @@
 """Command-line front end.
 
-Subcommands::
-
-    bounds    closed-form bounds plus hypothesis verdicts for one phi
-    extremal  extremal-function coefficients, Toeplitz values, residual
-    verify    bounds vs extremal values vs brute-force oracle
-    fs        Fekete-Szego bound |a3 - mu*a2^2| for a given weight
-    table     all catalog rows as CSV or JSON
+``COMMANDS`` is the one list of subcommands (bounds, extremal, fs, verify,
+table) and of their flags: the parser, the range checks and the choice
+between JSON and human output are all read from it.
 
 Exit codes: 0 success, 1 usage or spec error (one ``error:`` line on
 stderr), 2 hypothesis failure under --strict.  Floats are rendered with
@@ -23,7 +19,8 @@ import sys
 from typing import Any
 
 from . import catalog, oracle
-from .bounds import BoundReport, ClassKind, fekete_szego, full_report
+from .bounds import (BoundReport, ClassKind, admissible_b12, fekete_szego,
+                     full_report)
 from .catalog import PhiSpec
 from .extremal import ExtremalFunction, h_phi, k_phi, residual
 from .oracle import OracleConfig, OracleResult
@@ -82,11 +79,14 @@ def spec_from_args(args) -> PhiSpec:
     return PhiSpec(kind, **{name: getattr(args, name) for name in needs})
 
 
+def _head(spec: PhiSpec, kind: ClassKind) -> dict:
+    """The opening keys of the bounds, extremal, fs and verify documents."""
+    return {"class": spec.kind, "params": spec.describe_params(), "kind": kind.value}
+
+
 def report_to_json(spec: PhiSpec, report: BoundReport) -> dict:
     return {
-        "class": spec.kind,
-        "params": spec.describe_params(),
-        "kind": report.kind.value,
+        **_head(spec, report.kind),
         "b1": report.b1,
         "b2": report.b2,
         "a2_bound": report.a2_bound,
@@ -110,97 +110,79 @@ def oracle_to_json(res: OracleResult) -> dict:
     }
 
 
-def _print_human_report(spec: PhiSpec, report: BoundReport) -> None:
-    print(f"class {spec.kind} {spec.describe_params() or ''} [{report.kind.value}]")
-    print(f"  B1 = {report.b1:.12g}   B2 = {report.b2:.12g}")
-    print(f"  |a2| <= {report.a2_bound:.12g}   |a3| <= {report.a3_bound:.12g}")
+def _human_report(spec: PhiSpec, report: BoundReport) -> str:
+    lines = [
+        f"class {spec.kind} {spec.describe_params() or ''} [{report.kind.value}]",
+        f"  B1 = {report.b1:.12g}   B2 = {report.b2:.12g}",
+        f"  |a2| <= {report.a2_bound:.12g}   |a3| <= {report.a3_bound:.12g}",
+    ]
     for name, frag in (("T2(2)", report.t22), ("T3(1)", report.t31)):
         tag = "sharp" if frag.hypothesis_ok else "estimate only (hypothesis fails)"
-        print(f"  |{name}| <= {frag.value:.12g}   [{tag}]")
-    for note in report.notes:
-        print(f"  note: {note}")
+        lines.append(f"  |{name}| <= {frag.value:.12g}   [{tag}]")
+    lines += [f"  note: {note}" for note in report.notes]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_bounds(args) -> int:
+# A handler returns (exit code, JSON document, human text); main writes one of them.
+
+def cmd_bounds(args) -> tuple[int, Any, str]:
     spec = spec_from_args(args)
-    kinds = list(ClassKind) if args.kind == "both" else [ClassKind.parse(args.kind)]
+    kinds = list(ClassKind) if args.kind == "both" else [ClassKind(args.kind)]
     reports = [full_report(spec, k) for k in kinds]
-    if args.output == "json":
-        docs = [report_to_json(spec, r) for r in reports]
-        print(render_json(docs[0] if len(docs) == 1 else docs))
-    else:
-        for r in reports:
-            _print_human_report(spec, r)
-    if args.strict and any(
+    docs = [report_to_json(spec, r) for r in reports]
+    failed = args.strict and any(
         not r.t22.hypothesis_ok or not r.t31.hypothesis_ok for r in reports
-    ):
-        return 2
-    return 0
+    )
+    return (2 if failed else 0, docs[0] if len(docs) == 1 else docs,
+            "".join(_human_report(spec, r) for r in reports))
 
 
 def _extremal(spec: PhiSpec, kind: ClassKind,
-              order: int) -> tuple[ExtremalFunction, float]:
-    """The extremal function of ``kind`` and its residual; overflow is an error."""
+              order: int) -> tuple[ExtremalFunction, dict]:
+    """The extremal function of ``kind`` with its |T2(2)|, |T3(1)| and residual;
+    overflow is an error."""
     ef = (k_phi if kind is ClassKind.STARLIKE else h_phi)(spec, order=order)
-    if not all(map(cmath.isfinite, (*ef.coeffs, ef.t22_value, ef.t31_value))):
+    values = {"t22_abs": ef.t22_value, "t31_abs": ef.t31_value}
+    if not all(map(cmath.isfinite, (*ef.coeffs, *values.values()))):
         raise ValueError(f"the extremal function overflows a float at order {order}")
-    return ef, residual(ef, spec)
+    values["residual"] = residual(ef, spec)
+    return ef, values
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> tuple[int, Any, str]:
     spec = spec_from_args(args)
-    kind = ClassKind.parse(args.kind)
-    ef, res = _extremal(spec, kind, args.order)
-    if args.output == "json":
-        doc = {
-            "class": spec.kind,
-            "params": spec.describe_params(),
-            "kind": kind.value,
-            "order": ef.order,
-            "a2": [ef.a2.real, ef.a2.imag],
-            "a3": [ef.a3.real, ef.a3.imag],
-            "t22_abs": ef.t22_value,
-            "t31_abs": ef.t31_value,
-            "residual": res,
-        }
-        print(render_json(doc))
-    else:
-        print(f"extremal [{kind.value}] order {ef.order}")
-        print(f"  a2 = {ef.a2:.12g}   a3 = {ef.a3:.12g}")
-        print(f"  |T2(2)| = {ef.t22_value:.12g}   |T3(1)| = {ef.t31_value:.12g}")
-        print(f"  defining-equation residual = {res:.3e}")
-    return 0
+    kind = ClassKind(args.kind)
+    ef, values = _extremal(spec, kind, args.order)
+    a2, a3 = ef.a2, ef.a3
+    doc = {**_head(spec, kind), "order": ef.order,
+           "a2": [a2.real, a2.imag], "a3": [a3.real, a3.imag], **values}
+    return 0, doc, (
+        f"extremal [{kind.value}] order {ef.order}\n"
+        f"  a2 = {a2:.12g}   a3 = {a3:.12g}\n"
+        f"  |T2(2)| = {values['t22_abs']:.12g}   |T3(1)| = {values['t31_abs']:.12g}\n"
+        f"  defining-equation residual = {values['residual']:.3e}\n"
+    )
 
 
-def cmd_fs(args) -> int:
+def cmd_fs(args) -> tuple[int, Any, str]:
     spec = spec_from_args(args)
-    kind = ClassKind.parse(args.kind)
-    rep = full_report(spec, kind)
-    value = fekete_szego(kind, rep.b1, rep.b2, args.mu)
-    if args.output == "json":
-        print(render_json({
-            "class": spec.kind,
-            "params": spec.describe_params(),
-            "kind": kind.value,
-            "mu": args.mu,
-            "bound": value,
-        }))
-    else:
-        sign = "+" if args.mu < 0 else "-"
-        print(f"|a3 {sign} {abs(args.mu):g}*a2^2| <= {value:.12g}  [{kind.value}]")
-    return 0
+    kind = ClassKind(args.kind)
+    value = fekete_szego(kind, *admissible_b12(spec), args.mu)
+    sign = "+" if args.mu < 0 else "-"
+    return 0, {**_head(spec, kind), "mu": args.mu, "bound": value}, (
+        f"|a3 {sign} {abs(args.mu):g}*a2^2| <= {value:.12g}  [{kind.value}]\n")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, Any, str]:
     spec = spec_from_args(args)
-    kind = ClassKind.parse(args.kind)
+    kind = ClassKind(args.kind)
     rep = full_report(spec, kind)
     cfg = OracleConfig(samples=args.samples, seed=args.seed,
                        polish_steps=args.polish_steps)
-    ef, res = _extremal(spec, kind, args.order)
+    ef, values = _extremal(spec, kind, args.order)
     lines = []
     all_ok = True
-    frags = {"t22": (rep.t22, ef.t22_value), "t31": (rep.t31, ef.t31_value)}
+    frags = {"t22": (rep.t22, values["t22_abs"]), "t31": (rep.t31, values["t31_abs"])}
     found = oracle.maximize(kind, rep.b1, rep.b2, tuple(frags), cfg)
     oracle_docs = {}
     for (name, (frag, ext_val)), orc in zip(frags.items(), found):
@@ -221,23 +203,13 @@ def cmd_verify(args) -> int:
                 f"{name}: formula {frag.value:.9g}  oracle estimate "
                 f"{orc.sup_estimate:.9g}  estimate only (open case)"
             )
+    res = values["residual"]
     res_ok = res <= RESIDUAL_TOL * max(1.0, max(map(abs, ef.coeffs)))
     all_ok = all_ok and res_ok
     lines.append(f"residual: {res:.3e}  {'PASS' if res_ok else 'FAIL'}")
-    if args.output == "json":
-        doc = report_to_json(spec, rep)
-        doc["oracle"] = oracle_docs
-        doc["extremal"] = {
-            "t22_abs": ef.t22_value,
-            "t31_abs": ef.t31_value,
-            "residual": res,
-        }
-        doc["pass"] = all_ok
-        print(render_json(doc))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if all_ok else 1
+    doc = {**report_to_json(spec, rep), "oracle": oracle_docs,
+           "extremal": values, "pass": all_ok}
+    return 0 if all_ok else 1, doc, "\n".join(lines) + "\n"
 
 
 def table_rows() -> list[dict]:
@@ -266,26 +238,45 @@ def render_table_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, Any, str]:
     rows = table_rows()
-    if args.output == "json":
-        print(render_json(rows))
-    else:
-        sys.stdout.write(render_table_csv(rows))
-    return 0
+    return 0, rows, render_table_csv(rows)
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--class", dest="phi_class", required=True,
-        choices=list(dict.fromkeys([*catalog.PARAMS, *catalog.TABLE])),
-    )
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--b1", type=float, default=None)
-    p.add_argument("--b2", type=float, default=None)
-    p.add_argument("--b3", type=float, default=None)
+# Each flag is (name, argparse kwargs) or (name, argparse kwargs, check, error
+# text); main applies the checks in table order after parsing.
+KIND = ("--kind", {"choices": ("starlike", "convex"), "default": "starlike"})
+OUTPUT = ("--output", {"choices": ("human", "json"), "default": "human"})
+ORDER = ("--order", {"type": int, "default": 10},
+         lambda n: n >= 3, "--order must be at least 3")
+
+# subcommand -> (handler, help, the flags after the spec flags, in --help order)
+COMMANDS = {
+    "bounds": (cmd_bounds, "closed-form bounds and hypothesis verdicts", (
+        ("--kind", {"choices": ("starlike", "convex", "both"), "default": "starlike"}),
+        OUTPUT,
+        ("--strict", {"action": "store_true", "help": "exit 2 if any hypothesis fails"}),
+    )),
+    "extremal": (cmd_extremal, "extremal function coefficients and residual",
+                 (KIND, ORDER, OUTPUT)),
+    "fs": (cmd_fs, "Fekete-Szego bound for a weight mu",
+           (KIND, ("--mu", {"type": float, "required": True}), OUTPUT)),
+    "verify": (cmd_verify, "check bounds against extremal and oracle", (
+        KIND, ORDER,
+        ("--samples", {"type": int, "default": 200_000},
+         lambda n: n >= 1, "--samples must be at least 1"),
+        ("--seed", {"type": int, "default": None,
+                    "help": f"default from ${oracle.SEED_ENV} or 7"},
+         lambda n: n is None or n >= 0, "--seed must be non-negative"),
+        ("--polish-steps", {"type": int, "default": 40},
+         lambda n: n >= 0, "--polish-steps must be non-negative"),
+        ("--tol", {"type": float, "default": 1e-3},
+         lambda x: x >= 0, "--tol must be a non-negative number"),
+        OUTPUT,
+    )),
+    "table": (cmd_table, "all catalog rows",
+              (("--output", {"choices": ("csv", "json"), "default": "csv"}),)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,45 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sharp Toeplitz determinant bounds for starlike/convex families",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="closed-form bounds and hypothesis verdicts")
-    _add_spec_args(p)
-    p.add_argument("--kind", choices=["starlike", "convex", "both"], default="starlike")
-    p.add_argument("--output", choices=["human", "json"], default="human")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 if any hypothesis fails")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("extremal", help="extremal function coefficients and residual")
-    _add_spec_args(p)
-    p.add_argument("--kind", choices=["starlike", "convex"], default="starlike")
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--output", choices=["human", "json"], default="human")
-    p.set_defaults(func=cmd_extremal)
-
-    p = sub.add_parser("fs", help="Fekete-Szego bound for a weight mu")
-    _add_spec_args(p)
-    p.add_argument("--kind", choices=["starlike", "convex"], default="starlike")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--output", choices=["human", "json"], default="human")
-    p.set_defaults(func=cmd_fs)
-
-    p = sub.add_parser("verify", help="check bounds against extremal and oracle")
-    _add_spec_args(p)
-    p.add_argument("--kind", choices=["starlike", "convex"], default="starlike")
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"default from ${oracle.SEED_ENV} or 7")
-    p.add_argument("--polish-steps", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--output", choices=["human", "json"], default="human")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="all catalog rows")
-    p.add_argument("--output", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_table)
-
+    for command, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command != "table":
+            p.add_argument("--class", dest="phi_class", required=True,
+                           choices=list(dict.fromkeys([*catalog.PARAMS, *catalog.TABLE])))
+            for name in ("A", "B", "alpha", "b1", "b2", "b3"):
+                p.add_argument(f"--{name}", type=float)
+        for name, kwargs, *_ in flags:
+            p.add_argument(name, **kwargs)
     return parser
 
 
@@ -373,21 +334,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "order", 3) < 3:
-        parser.exit(1, "error: --order must be at least 3\n")
-    if getattr(args, "samples", 1) < 1:
-        parser.exit(1, "error: --samples must be at least 1\n")
-    if (getattr(args, "seed", None) or 0) < 0:
-        parser.exit(1, "error: --seed must be non-negative\n")
-    if getattr(args, "polish_steps", 0) < 0:
-        parser.exit(1, "error: --polish-steps must be non-negative\n")
-    if not getattr(args, "tol", 0.0) >= 0:
-        parser.exit(1, "error: --tol must be a non-negative number\n")
+    handler, _, flags = COMMANDS[args.command]
+    for name, _, *check in flags:
+        if check and not check[0](getattr(args, name[2:].replace("-", "_"))):
+            parser.exit(1, f"error: {check[1]}\n")
     try:
-        return args.func(args)
+        code, doc, text = handler(args)
+        if args.output == "json":
+            text = render_json(doc) + "\n"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -153,6 +153,17 @@ class TestFsCommand:
         code, out, _ = run(capsys, "fs", "--class", "sine", "--mu", mu)
         assert (code, out) == (0, text)
 
+    @pytest.mark.parametrize("kind, bound", [
+        ("starlike", 5e+99), ("convex", 4.1666666666666667e+198),
+    ])
+    def test_large_b1(self, capsys, kind, bound):
+        # The T2(2) and T3(1) bounds grow like B1^4 and overflow a float
+        # here; fs does not print them, so they may not stop it.
+        code, out, err = run(capsys, "fs", "--class", "custom", "--b1", "1e100",
+                             "--kind", kind, "--mu", "0.5", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bound"] == bound
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -393,6 +404,15 @@ COMMAND_FLAGS = {
     "table": {},
 }
 CLASSES = [*dict.fromkeys([*catalog.PARAMS, *catalog.TABLE]), "nosuch"]
+
+
+def test_fuzz_covers_every_flag():
+    # COMMAND_FLAGS is written out by hand so that the fuzz checks the
+    # table; cli_argv adds --output to every command and --samples to verify.
+    assert set(cli.COMMANDS) == set(COMMAND_FLAGS)
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        extra = {"--output"} | ({"--samples"} if command == "verify" else set())
+        assert {flag[0] for flag in flags} == set(COMMAND_FLAGS[command]) | extra
 
 
 @st.composite
