@@ -123,8 +123,6 @@ def _human_report(spec: PhiSpec, report: BoundReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A handler returns (exit code, JSON document, human text); main writes one of them.
-
 def cmd_bounds(args) -> tuple[int, Any, str]:
     spec = spec_from_args(args)
     kinds = list(ClassKind) if args.kind == "both" else [ClassKind(args.kind)]
@@ -250,7 +248,8 @@ OUTPUT = ("--output", {"choices": ("human", "json"), "default": "human"})
 ORDER = ("--order", {"type": int, "default": 10},
          lambda n: n >= 3, "--order must be at least 3")
 
-# subcommand -> (handler, help, the flags after the spec flags, in --help order)
+# subcommand -> (handler, help, the flags after the spec flags, in --help order).
+# A handler returns (exit code, JSON document, human text); main writes one.
 COMMANDS = {
     "bounds": (cmd_bounds, "closed-form bounds and hypothesis verdicts", (
         ("--kind", {"choices": ("starlike", "convex", "both"), "default": "starlike"}),

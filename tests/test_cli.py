@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 import toeplitz_bounds
 from toeplitz_bounds import catalog, cli, oracle
+from toeplitz_bounds.bounds import BoundFragment, ClassKind, full_report
+from toeplitz_bounds.extremal import ExtremalFunction
 from toeplitz_bounds.cli import main, render_json, render_table_csv, table_rows
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_table.csv"
@@ -126,6 +129,7 @@ class TestExtremalCommand:
         )
         assert code == 0
         doc = json.loads(out)
+        assert doc["order"] == 10  # the default
         assert doc["t22_abs"] == pytest.approx(1.25)
         assert doc["residual"] <= 1e-12
 
@@ -214,6 +218,81 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--class", "custom", "--b1", b1,
                            "--b2", b2, "--kind", kind, "--samples", "2000")
         assert (code, out.count("PASS"), out.count("FAIL")) == (0, 3, 0)
+
+
+class TestVerifyVerdict:
+    """verify's PASS/FAIL edges.  The bound, the extremal values and the
+    oracle are stubbed, so each value sits exactly where the test puts it:
+    the bound and the extremal value agree within 1e-9 * max(1, |bound|),
+    the oracle lies in [bound - tol, bound + 1e-9 * max(1, |bound|)], and
+    the residual is at most 1e-10 * max(1, max |a_n|)."""
+
+    SINE = ["verify", "--class", "sine"]
+
+    def verify(self, monkeypatch, capsys, *flags, bound=1.25, ext=None, sup=None,
+               res=0.0):
+        report = full_report(catalog.TABLE["sine"], ClassKind.STARLIKE)
+        frag = BoundFragment(bound, True)
+        report = report._replace(t22=frag, t31=frag)
+        # max |a_n| = 1, so the residual is measured against 1e-10 itself
+        ef = ExtremalFunction(ClassKind.STARLIKE, (0j, 1 + 0j, 0.5j, -0.25 + 0j))
+        values = {"t22_abs": bound if ext is None else ext,
+                  "t31_abs": bound, "residual": res}
+        configs = []
+
+        def maximize(kind, b1, b2, names, cfg):
+            configs.append(cfg)
+            value = bound if sup is None else sup
+            return [oracle.OracleResult(name, 0.0, value, oracle.SchwarzPoint(1j, 0j),
+                                        cfg.samples, 7, cfg.polish_steps)
+                    for name in names]
+
+        monkeypatch.setattr(cli, "full_report", lambda spec, kind: report)
+        monkeypatch.setattr(cli, "_extremal", lambda spec, kind, order: (ef, values))
+        monkeypatch.setattr(oracle, "maximize", maximize)
+        code, out, err = run(capsys, *self.SINE, *flags)
+        assert err == ""
+        assert ("FAIL" in out) == (code == 1)
+        return code, configs
+
+    def test_defaults(self, monkeypatch, capsys):
+        code, configs = self.verify(monkeypatch, capsys)
+        assert (code, configs) == (0, [oracle.OracleConfig(200_000, None, 40)])
+
+    @pytest.mark.parametrize("sup, code", [
+        (1.25 - 1e-3, 0),  # the default --tol
+        (math.nextafter(1.25 - 1e-3, 0), 1),
+        (1.25 + 1e-9 * 1.25, 0),
+        (math.nextafter(1.25 + 1e-9 * 1.25, 2), 1),
+    ])
+    def test_oracle_edges(self, monkeypatch, capsys, sup, code):
+        assert self.verify(monkeypatch, capsys, sup=sup)[0] == code
+
+    def test_tol_edge(self, monkeypatch, capsys):
+        sup = 1.25 - 0.5
+        assert self.verify(monkeypatch, capsys, "--tol", "0.5", sup=sup)[0] == 0
+        assert self.verify(monkeypatch, capsys, "--tol", "0.5",
+                           sup=math.nextafter(sup, 0))[0] == 1
+
+    def test_extremal_edge(self, monkeypatch, capsys):
+        bound = 2.0 ** -40  # below 1, so the allowance is 1e-9 itself
+        ext = bound + 1e-9
+        assert ext - bound == 1e-9  # exact at this bound
+        assert self.verify(monkeypatch, capsys, bound=bound, sup=bound, ext=ext)[0] == 0
+        assert self.verify(monkeypatch, capsys, bound=bound, sup=bound,
+                           ext=math.nextafter(ext, 1))[0] == 1
+
+    @pytest.mark.parametrize("res, code", [
+        (1e-10, 0), (math.nextafter(1e-10, 1), 1),
+    ])
+    def test_residual_edge(self, monkeypatch, capsys, res, code):
+        assert self.verify(monkeypatch, capsys, res=res)[0] == code
+
+    def test_range_checks_accept_their_edge(self, monkeypatch, capsys):
+        flags = ["--order", "3", "--samples", "1", "--seed", "0",
+                 "--polish-steps", "0", "--tol", "0"]
+        code, configs = self.verify(monkeypatch, capsys, *flags)
+        assert (code, configs) == (0, [oracle.OracleConfig(1, 0, 0)])
 
 
 def one_error_line(capsys, argv):

@@ -61,10 +61,6 @@ def test_range_check_error_line(flag, value, line):
     assert run(["verify", "--class", "sine", flag, value]) == (1, "", line)
 
 
-def test_extremal_order_check():
-    assert run(["extremal", "--class", "sine", "--order", "2"]) == (1, "", RANGE_CHECKS[0][2])
-
-
 @pytest.mark.parametrize("first, second", itertools.combinations(RANGE_CHECKS, 2),
                          ids=lambda c: c[0])
 def test_first_range_check_fires(first, second):
