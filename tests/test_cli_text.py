@@ -1,4 +1,5 @@
-"""CLI text pinned byte for byte: every ``--help`` text and the range checks.
+"""CLI text pinned byte for byte: every ``--help`` text, the range checks
+and the inadmissible-spec errors.
 
 ``tests/data/cli_help.json`` holds the ``--help`` output of the top level
 and of each subcommand at a terminal width of 80 columns.  To record it
@@ -31,6 +32,23 @@ RANGE_CHECKS = [
     ("--polish-steps", "-1", "error: --polish-steps must be non-negative\n"),
     ("--tol", "nan", "error: --tol must be a non-negative number\n"),
 ]
+
+# spec flags that validate rejects, with the violation it names
+INADMISSIBLE = [
+    (("--class", "janowski", "--A", "0.2", "--B", "0.8"), "janowski requires -1 <= B < A <= 1"),
+    (("--class", "janowski", "--A", "0.5", "--B", "0.5"), "janowski requires -1 <= B < A <= 1"),
+    (("--class", "order-alpha", "--alpha", "1"), "order-alpha requires 0 <= alpha < 1"),
+    (("--class", "order-alpha", "--alpha", "1.5"), "order-alpha requires 0 <= alpha < 1"),
+    (("--class", "exp", "--alpha", "1"), "exp requires 0 <= alpha < 1"),
+    (("--class", "exp", "--alpha", "1.5"), "exp requires 0 <= alpha < 1"),
+    (("--class", "custom", "--b1", "0"), "B1 > 0 violated"),
+    (("--class", "custom", "--b1", "-1", "--b2", "0.5"), "B1 > 0 violated"),
+    (("--class", "custom", "--b1", "1", "--b2", "inf"), "custom coefficients must be finite"),
+    (("--class", "custom", "--b1", "1", "--b2", "nan"), "custom coefficients must be finite"),
+    (("--class", "custom", "--b1", "1", "--b2", "-inf"), "custom coefficients must be finite"),
+]
+# the flags each spec-taking subcommand needs besides the spec
+SPEC_COMMANDS = {"bounds": (), "extremal": (), "fs": ("--mu", "0.5"), "verify": ()}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -68,6 +86,14 @@ def test_first_range_check_fires(first, second):
     for a, b in ((first, second), (second, first)):
         argv = ["verify", "--class", "sine", *a[:2], *b[:2]]
         assert run(argv) == (1, "", first[2]), argv
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS)
+@pytest.mark.parametrize("spec, violation", INADMISSIBLE,
+                         ids=[" ".join(c[0][1::2]) for c in INADMISSIBLE])
+def test_inadmissible_spec_error_line(command, spec, violation):
+    argv = [command, *spec, *SPEC_COMMANDS[command]]
+    assert run(argv) == (1, "", f"error: inadmissible spec: {violation}\n")
 
 
 if __name__ == "__main__":
