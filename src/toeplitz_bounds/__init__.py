@@ -29,8 +29,6 @@ from .oracle import (
     OracleConfig,
     OracleResult,
     SchwarzPoint,
-    a2a3_from_schwarz,
-    eval_functional,
     maximize,
 )
 
@@ -43,13 +41,11 @@ __all__ = [
     "OracleResult",
     "PhiSpec",
     "SchwarzPoint",
-    "a2a3_from_schwarz",
     "a2_bound",
     "a3_bound",
     "alpha_exponential",
     "b_coeffs",
     "custom",
-    "eval_functional",
     "fekete_szego",
     "full_report",
     "h_phi",

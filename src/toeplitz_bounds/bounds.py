@@ -57,16 +57,19 @@ class BoundReport(NamedTuple):
     notes: tuple[str, ...]
 
 
-def _require_b1(b1: float) -> None:
+def check_domain(b1: float, b2: float = 0.0, mu: float = 0.0) -> None:
+    """The one input check of every formula here and of the oracle."""
     if not b1 > 0:
         raise ValueError("B1 must be positive")
+    if not (math.isfinite(b1) and math.isfinite(b2)):
+        raise ValueError("B1 and B2 must be finite")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
 
 
 def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
     """Sharp bound on |a3 - mu*a2^2| for real weight mu."""
-    _require_b1(b1)
-    if not math.isfinite(mu):
-        raise ValueError("mu must be finite")
+    check_domain(b1, b2, mu)
     c2, c3 = kind.scale
     m = c3 / (c2 * c2)  # 2 (starlike) or 1.5 (convex)
     # one B1^2 term, exact at m*mu = 1; the modulus first: max(nan, b1) is nan
@@ -77,7 +80,7 @@ def fekete_szego(kind: ClassKind, b1: float, b2: float, mu: float) -> float:
 
 
 def a2_bound(kind: ClassKind, b1: float) -> float:
-    _require_b1(b1)
+    check_domain(b1)
     return b1 / kind.scale[0]
 
 
@@ -87,7 +90,7 @@ def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
 
 def t22_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     """Bound on |a3^2 - a2^2|; proven sharp when B1 <= |B2 + B1^2|."""
-    _require_b1(b1)
+    check_domain(b1, b2)
     c2, c3 = kind.scale
     s = b2 + b1 * b1
     value = s * s / (c3 * c3) + b1 * b1 / (c2 * c2)
@@ -107,7 +110,7 @@ def t31_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     Proven sharp when B1 - B1^2 <= B2 <= k*B1^2 - B1, with k = 3 (starlike)
     or k = 2 (convex).
     """
-    _require_b1(b1)
+    check_domain(b1, b2)
     c2, c3 = kind.scale
     lo, hi, k = _t31_interval(kind, b1)
     s = b2 + b1 * b1
@@ -135,9 +138,7 @@ def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
 
 def admissible_b12(spec: PhiSpec) -> tuple[float, float]:
     """(B1, B2) of an admissible phi; an inadmissible one is a ValueError."""
-    verdict = validate(spec)
-    if not verdict.ok:
-        raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
+    validate(spec)
     return b_coeffs(spec)
 
 

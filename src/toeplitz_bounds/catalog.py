@@ -90,40 +90,34 @@ TABLE: dict[str, PhiSpec] = {
 }
 
 
-class Admissibility(NamedTuple):
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(spec: PhiSpec) -> Admissibility:
-    """Check the parameters; expands no phi.
+def validate(spec: PhiSpec) -> None:
+    """Check the parameters, expanding no phi; an inadmissible spec raises
+    ValueError("inadmissible spec: <its violation>").
 
     phi(0) = 1 holds by construction, and janowski, order-alpha and exp
     have B1 > 0 on their parameter ranges, so only custom's b1 is checked
     for it.
     """
-    bad: list[str] = []
+    bad = ""
     if spec.kind == "janowski":
         if spec.A is None or spec.B is None:
-            bad.append("janowski requires parameters A and B")
+            bad = "janowski requires parameters A and B"
         elif not (-1.0 <= spec.B < spec.A <= 1.0):
-            bad.append("janowski requires -1 <= B < A <= 1")
+            bad = "janowski requires -1 <= B < A <= 1"
     elif spec.kind in ("order-alpha", "exp"):
         if spec.alpha is None:
-            bad.append(f"{spec.kind} requires parameter alpha")
+            bad = f"{spec.kind} requires parameter alpha"
         elif not (0.0 <= spec.alpha < 1.0):
-            bad.append(f"{spec.kind} requires 0 <= alpha < 1")
+            bad = f"{spec.kind} requires 0 <= alpha < 1"
     elif spec.kind == "custom":
         if not spec.custom:
-            bad.append("custom requires at least the coefficient b1")
+            bad = "custom requires at least the coefficient b1"
         elif not all(cmath.isfinite(c) for c in spec.custom):
-            bad.append("custom coefficients must be finite")
+            bad = "custom coefficients must be finite"
         elif abs(spec.custom[0].imag) > REAL_TOL or spec.custom[0].real <= 0:
-            bad.append("B1 > 0 violated")
-    return Admissibility(tuple(bad))
+            bad = "B1 > 0 violated"
+    if bad:
+        raise ValueError("inadmissible spec: " + bad)
 
 
 def _janowski_series(A: float, B: float, order: int) -> tuple[complex, ...]:

@@ -71,9 +71,7 @@ def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
     alpha_n = (1/(n-1)) * sum_{k=1}^{n-1} alpha_k c_{n-k}."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    verdict = validate(spec)
-    if not verdict.ok:
-        raise ValueError("inadmissible spec: " + "; ".join(verdict.violations))
+    validate(spec)
     rc = _phi_coeffs(spec, order)[::-1]  # rc[order - j] = c_j
     alpha, a = [1.0], [0j, 1 + 0j]  # alpha_1, alpha_2, ...
     for n in range(2, order + 1):

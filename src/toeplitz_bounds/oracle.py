@@ -25,9 +25,8 @@ import os
 from typing import NamedTuple
 
 from . import _kernels
-from .bounds import ClassKind
+from .bounds import ClassKind, check_domain
 
-REGION_TOL = 1e-12
 SEED_ENV = "TOEPLITZ_BOUNDS_SEED"
 SHARDS = 8  # independent sample streams per call
 TOP_CANDIDATES = 16  # best points per functional that the polish refines
@@ -57,10 +56,6 @@ class SchwarzPoint(NamedTuple):
     w1: complex
     w2: complex
 
-    def in_region(self, tol: float = REGION_TOL) -> bool:
-        r = abs(self.w1)  # |w1| > 1 + tol leaves no w2: the cap is below -tol
-        return abs(self.w2) <= 1 - r * r + tol
-
 
 class OracleConfig(NamedTuple):
     samples: int = 200_000
@@ -79,22 +74,6 @@ class OracleResult(NamedTuple):
     samples: int
     seed: int
     polish_steps: int
-
-
-def a2a3_from_schwarz(kind: ClassKind, b1: float, b2: float,
-                      p: SchwarzPoint) -> tuple[complex, complex]:
-    """(a2, a3) of the family member realizing the Schwarz point."""
-    if not p.in_region():
-        raise ValueError(f"point outside the attainable region: {p}")
-    return _kernels.a2a3(kind.id, b1, b2, p.w1, p.w2)
-
-
-def eval_functional(functional: str, a2: complex, a3: complex,
-                    mu: float = 0.0) -> float:
-    """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| evaluated with complex arithmetic."""
-    if functional not in _FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}")
-    return _kernels.functional(_FUNCTIONALS.index(functional), a2, a3, mu)
 
 
 def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +123,7 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     for name in names:
         if name not in _FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
-    if not b1 > 0:
-        raise ValueError("B1 must be positive")
+    check_domain(b1, b2, mu)
     if config.samples < 1:
         raise ValueError("sample budget must be at least 1")
 

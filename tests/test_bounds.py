@@ -110,6 +110,59 @@ class TestCoefficientBounds:
             assert a3_bound(kind, 1.2, -0.4) == fekete_szego(kind, 1.2, -0.4, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+# each formula as a function of (kind, B1, B2)
+FORMULAS = {
+    "fekete_szego": lambda kind, b1, b2: fekete_szego(kind, b1, b2, 0.5),
+    "a2_bound": lambda kind, b1, b2: a2_bound(kind, b1),
+    "a3_bound": a3_bound,
+    "t22_bound": t22_bound,
+    "t31_bound": t31_bound,
+}
+
+
+class TestDomainCheck:
+    """One check guards every formula: B1 > 0, then B1 and B2 finite."""
+
+    def test_t31_infinite_b2(self):
+        # unchecked, this is BoundFragment(-inf, hypothesis_ok=True): a "sharp" -inf
+        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
+            t31_bound(ST, 1.0, INF)
+
+    def test_t22_infinite_b2(self):
+        # unchecked, this is BoundFragment(inf, hypothesis_ok=True)
+        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
+            t22_bound(ST, 1.0, INF)
+
+    def test_fekete_szego_nan_b2(self):
+        # unchecked, the nan reads as "the Fekete-Szego bound overflows a float"
+        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
+            fekete_szego(ST, 1.0, NAN, 0.5)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("b1,message", [
+        (0.0, "B1 must be positive"), (-0.0, "B1 must be positive"),
+        (-1.0, "B1 must be positive"), (NAN, "B1 must be positive"),
+        (-INF, "B1 must be positive"), (INF, "B1 and B2 must be finite"),
+    ])
+    def test_bad_b1(self, name, kind, b1, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FORMULAS[name](kind, b1, 0.5)
+
+    @pytest.mark.parametrize("name", sorted(set(FORMULAS) - {"a2_bound"}))
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("b2", [NAN, INF, -INF])
+    def test_non_finite_b2(self, name, kind, b2):
+        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
+            FORMULAS[name](kind, 1.0, b2)
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_smallest_and_largest_finite_inputs_pass(self, name):
+        for b1, b2 in ((5e-324, -1.7e308), (1e-3, 1.7e308)):
+            FORMULAS[name](ST, b1, b2)
+
+
 class TestT22:
     def test_classical(self):
         frag = t22_bound(ST, 2, 2)
@@ -266,7 +319,6 @@ class TestKindAttributes:
                 rep = full_report(spec, kind)
                 fekete_szego(kind, rep.b1, rep.b2, 0.7)
                 oracle.maximize(kind, rep.b1, rep.b2, ("t22", "t31"), cfg)
-                oracle.a2a3_from_schwarz(kind, rep.b1, rep.b2, oracle.SchwarzPoint(1j, 0j))
         assert calls == []
 
 

@@ -155,38 +155,58 @@ def test_order_alpha_is_janowski_special_case(alpha):
     assert close(lhs, rhs)
 
 
+def violation(spec):
+    """What validate names for an inadmissible spec, without its prefix."""
+    with pytest.raises(ValueError, match="^inadmissible spec: ") as exc:
+        validate(spec)
+    return str(exc.value).removeprefix("inadmissible spec: ")
+
+
+def admissible(spec) -> bool:
+    try:
+        validate(spec)
+    except ValueError:
+        return False
+    return True
+
+
 class TestValidate:
     def test_admissible_janowski(self):
-        assert validate(catalog.janowski(0.5, -0.5)).ok
+        assert validate(catalog.janowski(0.5, -0.5)) is None
 
     def test_janowski_needs_b_below_a(self):
-        v = validate(catalog.janowski(0.2, 0.8))
-        assert not v.ok
-        assert any("B < A" in msg for msg in v.violations)
+        assert "B < A" in violation(catalog.janowski(0.2, 0.8))
 
     def test_custom_b1_zero(self):
-        v = validate(catalog.custom(0.0))
-        assert not v.ok
-        assert any("B1 > 0" in msg for msg in v.violations)
+        assert "B1 > 0" in violation(catalog.custom(0.0))
 
     @pytest.mark.parametrize("coeffs", [
         (1.0, float("nan")), (float("inf"), 0.0), (1.0, 0.0, complex(0, float("inf"))),
     ])
     def test_custom_non_finite(self, coeffs):
-        v = validate(catalog.custom(*coeffs))
-        assert not v.ok
-        assert any("finite" in msg for msg in v.violations)
+        assert "finite" in violation(catalog.custom(*coeffs))
 
     @pytest.mark.parametrize("A,B", [(0.5, -1.5), (1.5, 0.0), (0.5, 0.5)])
     def test_janowski_parameter_range(self, A, B):
         # -1 <= B < A <= 1: B below -1, A above 1 and B = A are rejected
-        v = validate(catalog.janowski(A, B))
-        assert v.violations == ("janowski requires -1 <= B < A <= 1",)
-        assert validate(catalog.janowski(1.0, -1.0)).ok
+        assert violation(catalog.janowski(A, B)) == "janowski requires -1 <= B < A <= 1"
+        assert admissible(catalog.janowski(1.0, -1.0))
 
     def test_alpha_range(self):
-        assert not validate(catalog.alpha_exponential(1.0)).ok
-        assert validate(catalog.alpha_exponential(0.999)).ok
+        assert not admissible(catalog.alpha_exponential(1.0))
+        assert admissible(catalog.alpha_exponential(0.999))
+
+    @pytest.mark.parametrize("spec,message", [
+        (PhiSpec("janowski", A=0.5), "janowski requires parameters A and B"),
+        (PhiSpec("janowski", B=0.5), "janowski requires parameters A and B"),
+        (PhiSpec("order-alpha"), "order-alpha requires parameter alpha"),
+        (PhiSpec("exp"), "exp requires parameter alpha"),
+        (catalog.order_alpha(-0.1), "order-alpha requires 0 <= alpha < 1"),
+        (catalog.alpha_exponential(float("nan")), "exp requires 0 <= alpha < 1"),
+        (PhiSpec("custom"), "custom requires at least the coefficient b1"),
+    ])
+    def test_each_violation_is_named(self, spec, message):
+        assert violation(spec) == message
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -194,15 +214,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("b1", [0.0, -0.0, -1.0, 0.5j, 1j, 1 + 2e-12j, 1 - 2e-12j])
     def test_custom_b1_not_real_positive(self, b1):
-        assert validate(catalog.custom(b1, 0.5)).violations == ("B1 > 0 violated",)
+        assert violation(catalog.custom(b1, 0.5)) == "B1 > 0 violated"
 
     @pytest.mark.parametrize("b1", [5e-324, 1 + 1e-12j, 1 - 1e-12j])
     def test_custom_b1_within_real_tol(self, b1):
-        assert validate(catalog.custom(b1)).ok
+        assert admissible(catalog.custom(b1))
 
     @pytest.mark.parametrize("b1", [float("nan"), complex(0, float("inf")), -float("inf")])
     def test_finite_check_comes_first(self, b1):
-        assert validate(catalog.custom(b1)).violations == ("custom coefficients must be finite",)
+        assert violation(catalog.custom(b1)) == "custom coefficients must be finite"
 
     @pytest.mark.parametrize("spec", [
         *catalog.TABLE.values(), catalog.janowski(0.5, -0.5), catalog.janowski(0.5, 0.5),
@@ -214,7 +234,7 @@ class TestValidate:
             raise AssertionError("validate expanded phi")
 
         monkeypatch.setattr(catalog, "phi_series", refuse)
-        validate(spec)
+        admissible(spec)
 
 
 # validate checks the parameters only; these are the facts about phi that
@@ -227,7 +247,7 @@ ACCEPTED = st.one_of(
     st.sampled_from([PhiSpec(kind) for kind, needs in catalog.PARAMS.items() if not needs]),
     st.lists(st.complex_numbers(max_magnitude=1e6), max_size=3).map(
         lambda cs: catalog.custom(*cs)),
-).filter(lambda spec: validate(spec).ok)
+).filter(admissible)
 
 
 @given(ACCEPTED)
@@ -239,7 +259,7 @@ ACCEPTED = st.one_of(
 @example(catalog.custom(5e-324))
 @example(catalog.custom(1 + 1e-12j))
 def test_accepted_spec_has_phi0_one_and_real_positive_b1(spec):
-    assert validate(spec).ok
+    validate(spec)
     head = phi_series(spec, 3)
     assert abs(head[0] - 1) <= catalog.REAL_TOL
     assert abs(head[1].imag) <= catalog.REAL_TOL and head[1].real > 0

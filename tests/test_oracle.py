@@ -15,16 +15,21 @@ from toeplitz_bounds.bounds import (
     t22_bound,
     t31_bound,
 )
-from toeplitz_bounds.oracle import (
-    OracleConfig,
-    SchwarzPoint,
-    a2a3_from_schwarz,
-    eval_functional,
-    maximize,
-)
+from toeplitz_bounds.oracle import OracleConfig, SchwarzPoint, maximize
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
 FS = oracle._FUNCTIONALS.index("fs")  # the kernels' id for |a3 - mu*a2^2|
+
+
+REGION_TOL = 1e-12
+
+
+def in_region(w1, w2, tol=REGION_TOL):
+    """The reference predicate of the Schur region |w1| <= 1, |w2| <= 1 - |w1|^2,
+    on scalars or elementwise on arrays, that draws and polished points are
+    checked against."""
+    r = abs(w1)  # |w1| > 1 + tol leaves no w2: the cap is below -tol
+    return abs(w2) <= 1 - r * r + tol
 
 
 # The reference route that the oracle's (w1, w2) kernels are checked
@@ -46,7 +51,7 @@ def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
 def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
                             p: SchwarzPoint) -> float:
     """Discrepancy between the direct (w1,w2) route and the (c1,c2) route."""
-    a2w, a3w = a2a3_from_schwarz(kind, b1, b2, p)
+    a2w, a3w = _kernels.a2a3(kind.id, b1, b2, p.w1, p.w2)
     c1 = 2 * p.w1
     c2 = 2 * (p.w2 + p.w1 * p.w1)
     a2c, a3c = a2a3_from_caratheodory(kind, b1, b2, c1, c2)
@@ -84,39 +89,28 @@ def random_points(n, seed=0):
 
 class TestCoefficientMaps:
     def test_starlike_witness_point(self):
-        a2, a3 = a2a3_from_schwarz(ST, 2, 2, SchwarzPoint(1j, 0))
+        a2, a3 = _kernels.a2a3(ST.id, 2, 2, 1j, 0)
         assert a2 == pytest.approx(2j)
         assert a3 == pytest.approx(-3)
 
     def test_convex_witness_point(self):
-        a2, a3 = a2a3_from_schwarz(CV, 1, 0.5, SchwarzPoint(1j, 0))
+        a2, a3 = _kernels.a2a3(CV.id, 1, 0.5, 1j, 0)
         assert a2 == pytest.approx(0.5j)
         assert a3 == pytest.approx(-0.25)
 
     def test_zero_point(self):
-        assert a2a3_from_schwarz(ST, 1.5, 0.2, SchwarzPoint(0, 0)) == (0, 0)
-
-    def test_rejects_outside_region(self):
-        with pytest.raises(ValueError, match="outside"):
-            a2a3_from_schwarz(ST, 1, 0, SchwarzPoint(0.9, 0.9))
+        assert _kernels.a2a3(ST.id, 1.5, 0.2, 0, 0) == (0, 0)
 
 
-class TestEvalFunctional:
+class TestFunctionalValues:
     def test_t22_classical(self):
-        assert eval_functional("t22", 2j, -3) == pytest.approx(13.0)
+        assert _kernels.functional(_kernels.T22, 2j, -3) == pytest.approx(13.0)
 
     def test_t31_identity_row(self):
-        assert eval_functional("t31", 0, 0) == pytest.approx(1.0)
+        assert _kernels.functional(_kernels.T31, 0, 0) == pytest.approx(1.0)
 
     def test_t31_lune_extremal(self):
-        assert eval_functional("t31", 1j, -0.75) == pytest.approx(63 / 16)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            eval_functional("t44", 0, 0)
-
-    def test_fekete_szego_default_mu_is_zero(self):
-        assert eval_functional("fs", 1j, 0.5) == 0.5  # |a3 - 0*a2^2|, not |0.5 + 1|
+        assert _kernels.functional(_kernels.T31, 1j, -0.75) == pytest.approx(63 / 16)
 
 
 class TestCrosscheck:
@@ -161,8 +155,8 @@ class TestMaximize:
 
     def test_argmax_reproduces_value(self):
         res = maximize(CV, 1.2, 0.1, "t22", FAST)
-        a2, a3 = a2a3_from_schwarz(CV, 1.2, 0.1, res.argmax)
-        assert eval_functional("t22", a2, a3) == pytest.approx(
+        a2, a3 = _kernels.a2a3(CV.id, 1.2, 0.1, *res.argmax)
+        assert _kernels.functional(_kernels.T22, a2, a3) == pytest.approx(
             res.sup_estimate, abs=1e-12
         )
 
@@ -222,6 +216,23 @@ class TestMaximize:
         with pytest.raises(ValueError, match="^B1 must be positive$"):
             maximize(ST, b1, 0.0, names, FAST)
 
+    @pytest.mark.parametrize("b1,b2,mu,message", [
+        (1.0, float("nan"), 0.0, "B1 and B2 must be finite"),
+        (1.0, float("inf"), 0.0, "B1 and B2 must be finite"),
+        (float("inf"), 0.0, 0.0, "B1 and B2 must be finite"),
+        (1.0, 0.0, float("nan"), "mu must be finite"),
+        (1.0, 0.0, -float("inf"), "mu must be finite"),
+    ])
+    def test_rejects_non_finite_inputs_before_sampling(self, monkeypatch, b1, b2, mu,
+                                                        message):
+        # unchecked, a nan B2 is sampled and reported as a nan sup_estimate
+        def forbidden(*args):
+            raise AssertionError("sampled before the inputs were checked")
+
+        monkeypatch.setattr(oracle, "_sample_shard", forbidden)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            maximize(ST, b1, b2, "t22", FAST, mu=mu)
+
     @pytest.mark.parametrize("kind", [ST, CV])
     @pytest.mark.parametrize("b1,b2", [(4 / 3, 2 / 3), (1.0, -0.9)],
                              ids=["cardioid", "custom-1-0.9"])
@@ -269,7 +280,7 @@ class TestKernels:
         b1, b2, mu = 1.3, -0.4, 0.7
         batch = _kernels.eval_batch(func_id, mu, *_kernels.a2a3(kind_id, b1, b2, w1, w2))
         for value, p1, p2 in zip(batch, w1, w2):
-            # polish evaluates numpy scalars, eval_functional Python complex
+            # polish evaluates numpy scalars, the extremal values Python complex
             for s1, s2 in ((p1, p2), (complex(p1), complex(p2))):
                 a2, a3 = _kernels.a2a3(kind_id, b1, b2, s1, s2)
                 scalar = _kernels.functional(func_id, a2, a3, mu)
@@ -283,7 +294,7 @@ class TestKernels:
         val, w1, w2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0,
                                  np.complex128(0.9j), np.complex128(0.1), 40)
         assert val == pytest.approx(13.0, abs=1e-3)
-        assert SchwarzPoint(complex(w1), complex(w2)).in_region()
+        assert in_region(complex(w1), complex(w2))
 
 
 class TestSampleShard:
@@ -313,8 +324,7 @@ class TestSampleShard:
     @pytest.mark.parametrize("seed,shard,n", CASES)
     def test_every_draw_is_in_the_region(self, seed, shard, n):
         w1, w2 = oracle._sample_shard(seed, shard, n)
-        r = np.abs(w1)
-        assert (np.abs(w2) <= 1 - r * r + oracle.REGION_TOL).all()
+        assert in_region(w1, w2).all()
 
     def test_shard_zero_starts_with_the_distinguished_points(self):
         w1, w2 = oracle._sample_shard(7, 0, 100)
@@ -407,10 +417,10 @@ class TestSampleShard:
 
 
 def test_in_region_predicate():
-    assert SchwarzPoint(1j, 0).in_region()
-    assert SchwarzPoint(0.5, 0.75).in_region()
-    assert not SchwarzPoint(0.5, 0.76).in_region()
-    assert not SchwarzPoint(1.1, 0).in_region()
+    assert in_region(1j, 0)
+    assert in_region(0.5, 0.75)
+    assert not in_region(0.5, 0.76)
+    assert not in_region(1.1, 0)
 
 
 @given(st.floats(1.0 + 1e-9, 2.0), st.floats(0.0, 2 * cmath.pi),
@@ -418,8 +428,8 @@ def test_in_region_predicate():
 def test_in_region_rejects_w1_outside_the_disc(r, t1, rho, t2):
     # 1 < |w1| <= 2 leaves no admissible w2, not even w2 = 0
     w1 = cmath.rect(r, t1)
-    assert not SchwarzPoint(w1, 0j).in_region()
-    assert not SchwarzPoint(w1, cmath.rect(rho, t2)).in_region()
+    assert not in_region(w1, 0j)
+    assert not in_region(w1, cmath.rect(rho, t2))
 
 
 def test_distinguished_points_are_the_witnesses():
@@ -431,7 +441,7 @@ def test_distinguished_points_are_the_witnesses():
 def test_distinguished_points_are_in_the_region():
     assert len(oracle.DISTINGUISHED) == 8
     for w1, w2 in oracle.DISTINGUISHED:
-        assert SchwarzPoint(w1, w2).in_region(tol=0.0)
+        assert in_region(w1, w2, tol=0.0)
 
 
 def test_documented_defaults(monkeypatch):
@@ -459,7 +469,7 @@ class TestPolish:
         start = _kernels.eval_batch(_kernels.T22, 0.0, *_kernels.a2a3(0, 2.0, 2.0, w1, w2))
         val, p1, p2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2, 40)
         assert (type(val), type(p1), type(p2)) == (float, complex, complex)
-        assert SchwarzPoint(p1, p2).in_region()
+        assert in_region(p1, p2)
         assert val >= start[5]
         assert val == pytest.approx(13.0, abs=1e-12)
 
@@ -526,9 +536,9 @@ class TestArgmaxCarriesItsValue:
         cfg = OracleConfig(samples=64, seed=3, polish_steps=polish_steps)
         res = maximize(kind, 1.0, -0.9, "fs", cfg, mu=mu)
         assert res.argmax.w1 != 0 and res.argmax.w2 != 0
-        a2, a3 = a2a3_from_schwarz(kind, 1.0, -0.9, res.argmax)
-        assert eval_functional("fs", a2, a3, mu) == pytest.approx(res.sup_estimate,
-                                                                  rel=1e-13)
+        a2, a3 = _kernels.a2a3(kind.id, 1.0, -0.9, *res.argmax)
+        assert _kernels.functional(FS, a2, a3, mu) == pytest.approx(res.sup_estimate,
+                                                                    rel=1e-13)
 
 
 @st.composite

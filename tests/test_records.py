@@ -1,5 +1,5 @@
 """The record types: pinned reprs, value equality and hashing, immutability
-and the constructor checks, for all eight of them.  A series is a plain
+and the constructor checks, for all seven of them.  A series is a plain
 tuple of complex, not a record."""
 
 import pickle
@@ -16,7 +16,6 @@ from toeplitz_bounds import (
     PhiSpec,
     SchwarzPoint,
 )
-from toeplitz_bounds.catalog import Admissibility
 from toeplitz_bounds.series import from_coeffs
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
@@ -58,11 +57,6 @@ RECORDS = {
         lambda: OracleResult("t31", 0.0, 1.25, SchwarzPoint(1j, 0j), 200008, 7, 40),
         "OracleResult(functional='t22', mu=0.0, sup_estimate=1.25, "
         "argmax=SchwarzPoint(w1=1j, w2=0j), samples=200008, seed=7, polish_steps=40)",
-    ),
-    "Admissibility": (
-        lambda: Admissibility(("janowski requires -1 <= B < A <= 1",)),
-        lambda: Admissibility(()),
-        "Admissibility(violations=('janowski requires -1 <= B < A <= 1',))",
     ),
     "PhiSpec": (
         lambda: PhiSpec("janowski", A=0.5, B=-0.5),
@@ -134,7 +128,3 @@ class TestConstructorChecks:
     def test_field_sets(self):
         assert ExtremalFunction._fields == ("kind", "coeffs")
         assert OracleConfig._fields == ("samples", "seed", "polish_steps")
-
-
-def test_admissibility_ok():
-    assert Admissibility(("x",)).ok is False and Admissibility(()).ok is True

