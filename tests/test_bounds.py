@@ -124,21 +124,6 @@ FORMULAS = {
 class TestDomainCheck:
     """One check guards every formula: B1 > 0, then B1 and B2 finite."""
 
-    def test_t31_infinite_b2(self):
-        # unchecked, this is BoundFragment(-inf, hypothesis_ok=True): a "sharp" -inf
-        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
-            t31_bound(ST, 1.0, INF)
-
-    def test_t22_infinite_b2(self):
-        # unchecked, this is BoundFragment(inf, hypothesis_ok=True)
-        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
-            t22_bound(ST, 1.0, INF)
-
-    def test_fekete_szego_nan_b2(self):
-        # unchecked, the nan reads as "the Fekete-Szego bound overflows a float"
-        with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
-            fekete_szego(ST, 1.0, NAN, 0.5)
-
     @pytest.mark.parametrize("name", FORMULAS)
     @pytest.mark.parametrize("kind", [ST, CV])
     @pytest.mark.parametrize("b1,message", [
@@ -154,6 +139,9 @@ class TestDomainCheck:
     @pytest.mark.parametrize("kind", [ST, CV])
     @pytest.mark.parametrize("b2", [NAN, INF, -INF])
     def test_non_finite_b2(self, name, kind, b2):
+        # unchecked, t31_bound(ST, 1, inf) is BoundFragment(-inf, True), a "sharp"
+        # -inf, t22_bound(ST, 1, inf) is (inf, True), and fekete_szego(ST, 1, nan,
+        # 0.5) reads the nan as "the Fekete-Szego bound overflows a float"
         with pytest.raises(ValueError, match="^B1 and B2 must be finite$"):
             FORMULAS[name](kind, 1.0, b2)
 
