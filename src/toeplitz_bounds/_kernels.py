@@ -5,19 +5,17 @@
 same expressions work on Python scalars and on numpy arrays; ``eval_batch``
 and ``polish`` evaluate arrays with them.  numpy's complex loops round by
 array length and layout: check any reshaping bytewise (test_polish_reference).
-
-Encoding: kind_id is ``ClassKind.id`` (0=starlike 1=convex), func_id
-0=t22 1=t31 and any other id fs(mu), as in :mod:`toeplitz_bounds.oracle`.
+A kind is a ``ClassKind`` and a functional its name, "t22", "t31" or "fs".
 """
 
 from __future__ import annotations
 
-T22, T31 = 0, 1
+from .bounds import ClassKind
 
 
-def a2a3(kind_id, b1, b2, w1, w2):
+def a2a3(kind, b1, b2, w1, w2):
     """(a2, a3) of the family member realizing the Schwarz point (w1, w2)."""
-    if kind_id == 0:
+    if kind is ClassKind.STARLIKE:
         a2 = b1 * w1
         a3 = 0.5 * ((b1 * b1 + b2) * w1 * w1 + b1 * w2)
     else:
@@ -26,19 +24,19 @@ def a2a3(kind_id, b1, b2, w1, w2):
     return a2, a3
 
 
-def functional(func_id, a2, a3, mu=0.0):
-    """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| at the coefficients (a2, a3)."""
-    if func_id == T22:
+def functional(name, a2, a3, mu=0.0):
+    """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| (any other name) at (a2, a3)."""
+    if name == "t22":
         return abs(a3 * a3 - a2 * a2)
-    if func_id == T31:
+    if name == "t31":
         t = 2.0 * a2 * a2
         return abs(1.0 - t - a3 * (a3 - t))
     return abs(a3 - mu * a2 * a2)
 
 
-def eval_batch(func_id, mu, a2, a3):
+def eval_batch(name, mu, a2, a3):
     """Functional values at arrays of (a2, a3), which the oracle computes once per shard."""
-    return functional(func_id, a2, a3, mu)
+    return functional(name, a2, a3, mu)
 
 
 def _project(p):
@@ -56,10 +54,10 @@ def _project(p):
     return p
 
 
-def polish(kind_id, b1, b2, func_ids, mu, w1, w2, halvings):
+def polish(kind, b1, b2, names, mu, w1, w2, halvings):
     """Projected pattern search from the candidates of each functional, all at once.
 
-    Row f of w1, w2 (shape (F, K)) holds the candidates of func_ids[f].  Each
+    Row f of w1, w2 (shape (F, K)) holds the candidates of names[f].  Each
     sweep projects the 8 axis moves of every candidate, computes (a2, a3) once
     and evaluates each row with its own functional; a candidate moves to its
     best move if that improves it.  The step starts at 0.25 and halves after a
@@ -75,8 +73,8 @@ def polish(kind_id, b1, b2, func_ids, mu, w1, w2, halvings):
     def values(p):
         z = np.empty((2, *p.shape[1:]), dtype=np.complex128)
         z.real, z.imag = p[0::2], p[1::2]  # (w1, w2)
-        a2, a3 = a2a3(kind_id, b1, b2, *z)
-        return np.stack([functional(f, a2[i], a3[i], mu) for i, f in enumerate(func_ids)])
+        a2, a3 = a2a3(kind, b1, b2, *z)
+        return np.stack([functional(f, a2[i], a3[i], mu) for i, f in enumerate(names)])
 
     w = np.asarray([w1, w2], dtype=np.complex128)
     pts = _project(np.stack([w.real, w.imag], axis=1).reshape(4, *w.shape[1:]))

@@ -10,7 +10,7 @@ extremal point |a2| = B1/c2 and |a3| = |B2 + B1^2|/c3, with (c2, c3) =
 Each determinant bound comes with a hypothesis verdict: the formula value
 is always computed, but it is only a proven sharp bound when the
 hypothesis inequalities hold.  Callers must treat flagged values as
-estimates.
+estimates.  A value that overflows a float is a ValueError, never a sharp inf.
 
 Hypothesis comparisons carry a slack of 1e-12 * max(1, B1^2, |B2|), the size
 of the terms compared, toward acceptance: every inequality admits equality
@@ -29,13 +29,13 @@ HYP_SLACK = 1e-12
 
 
 class ClassKind(enum.Enum):
-    # id is the kernels' kind_id and scale is (c2, c3); attributes, so no lookup hashes
-    STARLIKE = "starlike", 0, (1, 2)
-    CONVEX = "convex", 1, (2, 6)
+    # scale is (c2, c3), an attribute, so no lookup hashes
+    STARLIKE = "starlike", (1, 2)
+    CONVEX = "convex", (2, 6)
 
-    def __new__(cls, value: str, kind_id: int, scale: tuple[int, int]):
+    def __new__(cls, value: str, scale: tuple[int, int]):
         member = object.__new__(cls)
-        member._value_, member.id, member.scale = value, kind_id, scale
+        member._value_, member.scale = value, scale
         return member
 
 
@@ -88,13 +88,19 @@ def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
     return fekete_szego(kind, b1, b2, mu=0.0)
 
 
+def _fragment(value: float, ok: bool, b1: float, b2: float) -> BoundFragment:
+    if not math.isfinite(value):
+        raise ValueError(f"the bounds overflow a float at B1 = {b1:g}, B2 = {b2:g}")
+    return BoundFragment(value, ok)
+
+
 def t22_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     """Bound on |a3^2 - a2^2|; proven sharp when B1 <= |B2 + B1^2|."""
     check_domain(b1, b2)
     c2, c3 = kind.scale
     s = b2 + b1 * b1
     value = s * s / (c3 * c3) + b1 * b1 / (c2 * c2)
-    return BoundFragment(value, b1 <= abs(s) + HYP_SLACK * max(1.0, b1 * b1, abs(b2)))
+    return _fragment(value, b1 <= abs(s) + HYP_SLACK * max(1.0, b1 * b1, abs(b2)), b1, b2)
 
 
 def _t31_interval(kind: ClassKind, b1: float) -> tuple[float, float, float]:
@@ -116,7 +122,7 @@ def t31_bound(kind: ClassKind, b1: float, b2: float) -> BoundFragment:
     s = b2 + b1 * b1
     value = 1 + 2 * b1 * b1 / (c2 * c2) + s * (k * b1 * b1 - b2) / (c3 * c3)
     slack = HYP_SLACK * max(1.0, b1 * b1, abs(b2))
-    return BoundFragment(value, lo - slack <= b2 <= hi + slack)
+    return _fragment(value, lo - slack <= b2 <= hi + slack, b1, b2)
 
 
 def _hypothesis_notes(kind: ClassKind, b1: float, b2: float,
@@ -147,8 +153,6 @@ def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
     b1, b2 = admissible_b12(spec)
     t22 = t22_bound(kind, b1, b2)
     t31 = t31_bound(kind, b1, b2)
-    if not (math.isfinite(t22.value) and math.isfinite(t31.value)):
-        raise ValueError(f"the bounds overflow a float at B1 = {b1:g}, B2 = {b2:g}")
     return BoundReport(
         kind=kind, b1=b1, b2=b2, a2_bound=a2_bound(kind, b1),
         a3_bound=a3_bound(kind, b1, b2), t22=t22, t31=t31,

@@ -10,7 +10,6 @@ coefficient lists.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ class _PhiFields(NamedTuple):
     A: float | None = None
     B: float | None = None
     alpha: float | None = None
-    custom: tuple[complex, ...] = ()
+    custom: tuple[float, ...] = ()
 
 
 class PhiSpec(_PhiFields):
@@ -41,7 +40,7 @@ class PhiSpec(_PhiFields):
     kind:   one of KINDS.
     A, B:   janowski parameters (-1 <= B < A <= 1).
     alpha:  parameter of order-alpha / exp kinds, in [0, 1).
-    custom: leading coefficients (B1, B2, ...) for kind "custom".
+    custom: leading coefficients (B1, B2, ...) for kind "custom", real floats.
     """
 
     __slots__ = ()
@@ -49,12 +48,15 @@ class PhiSpec(_PhiFields):
     def __new__(cls, kind: str, *args, **kwargs):
         if kind not in KINDS:
             raise ValueError(f"unknown phi kind {kind!r}")
-        return super().__new__(cls, kind, *args, **kwargs)
+        spec = super().__new__(cls, kind, *args, **kwargs)
+        cs = tuple(map(complex, spec.custom))
+        if not all(abs(c.imag) <= REAL_TOL for c in cs):
+            raise ValueError("custom coefficients must be real")
+        return spec._replace(custom=tuple(c.real for c in cs)) if cs else spec
 
     def describe_params(self) -> dict:
         if self.kind == "custom":
-            return {f"b{i}": c.real if abs(c.imag) <= REAL_TOL else c
-                    for i, c in enumerate(self.custom, start=1)}
+            return {f"b{i}": c for i, c in enumerate(self.custom, start=1)}
         return {name: getattr(self, name) for name in PARAMS[self.kind]}
 
 
@@ -70,8 +72,8 @@ def alpha_exponential(alpha: float) -> PhiSpec:
     return PhiSpec("exp", alpha=float(alpha))
 
 
-def custom(*coeffs: complex) -> PhiSpec:
-    return PhiSpec("custom", custom=tuple(complex(c) for c in coeffs))
+def custom(*coeffs: float) -> PhiSpec:
+    return PhiSpec("custom", custom=coeffs)
 
 
 CARDIOID = PhiSpec("cardioid")
@@ -90,6 +92,15 @@ TABLE: dict[str, PhiSpec] = {
 }
 
 
+def _missing(spec: PhiSpec) -> str:
+    """The error for a spec that lacks a parameter PARAMS requires, else ""."""
+    needs = PARAMS[spec.kind]
+    for name in needs:
+        if getattr(spec, name) is None:
+            return f"{spec.kind} requires parameter{'s' * (len(needs) > 1)} {' and '.join(needs)}"
+    return ""
+
+
 def validate(spec: PhiSpec) -> None:
     """Check the parameters, expanding no phi; an inadmissible spec raises
     ValueError("inadmissible spec: <its violation>").
@@ -98,29 +109,23 @@ def validate(spec: PhiSpec) -> None:
     have B1 > 0 on their parameter ranges, so only custom's b1 is checked
     for it.
     """
-    bad = ""
-    if spec.kind == "janowski":
-        if spec.A is None or spec.B is None:
-            bad = "janowski requires parameters A and B"
-        elif not (-1.0 <= spec.B < spec.A <= 1.0):
-            bad = "janowski requires -1 <= B < A <= 1"
-    elif spec.kind in ("order-alpha", "exp"):
-        if spec.alpha is None:
-            bad = f"{spec.kind} requires parameter alpha"
-        elif not (0.0 <= spec.alpha < 1.0):
-            bad = f"{spec.kind} requires 0 <= alpha < 1"
+    bad = _missing(spec)
+    if not bad and spec.kind == "janowski" and not (-1.0 <= spec.B < spec.A <= 1.0):
+        bad = "janowski requires -1 <= B < A <= 1"
+    elif not bad and spec.kind in ("order-alpha", "exp") and not (0.0 <= spec.alpha < 1.0):
+        bad = f"{spec.kind} requires 0 <= alpha < 1"
     elif spec.kind == "custom":
         if not spec.custom:
             bad = "custom requires at least the coefficient b1"
-        elif not all(cmath.isfinite(c) for c in spec.custom):
+        elif not all(map(math.isfinite, spec.custom)):
             bad = "custom coefficients must be finite"
-        elif abs(spec.custom[0].imag) > REAL_TOL or spec.custom[0].real <= 0:
+        elif spec.custom[0] <= 0:
             bad = "B1 > 0 violated"
     if bad:
         raise ValueError("inadmissible spec: " + bad)
 
 
-def _janowski_series(A: float, B: float, order: int) -> tuple[complex, ...]:
+def _janowski_series(A: float, B: float, order: int) -> tuple[float, ...]:
     # (1+Az)/(1+Bz) = 1 + sum_{n>=1} (A-B)(-B)^(n-1) z^n, one factor -B per
     # step; 0.0 - B*c (not c*-B) and A - B + 0.0 give +0.0 where division did
     cs = [1.0, A - B + 0.0]
@@ -129,21 +134,21 @@ def _janowski_series(A: float, B: float, order: int) -> tuple[complex, ...]:
     return series.from_coeffs(cs)
 
 
-def _exp_series(alpha: float, order: int) -> tuple[complex, ...]:
+def _exp_series(alpha: float, order: int) -> tuple[float, ...]:
     # alpha + (1-alpha) e^z, with 1/n! as e_n = e_(n-1)/n
     e = [1.0]
     for n in range(1, order + 1):
         e.append(e[-1] / n)
-    return series.from_coeffs((alpha + (1 - alpha),) + tuple((1 - alpha) * c for c in e[1:]))
+    return series.from_coeffs((alpha + (1.0 - alpha),) + tuple((1 - alpha) * c for c in e[1:]))
 
 
-def _lune_series(order: int) -> tuple[complex, ...]:
+def _lune_series(order: int) -> tuple[float, ...]:
     # z + sqrt(1 + z^2), on floats
     root = series.sqrt1p((1.0, 0.0, 1.0) + (0.0,) * (order - 2))
     return series.from_coeffs(x + y for x, y in zip((0.0, 1.0) + (0.0,) * (order - 1), root))
 
 
-def _parabolic_series(order: int) -> tuple[complex, ...]:
+def _parabolic_series(order: int) -> tuple[float, ...]:
     # 1 + (2/pi^2) (log((1+t)/(1-t)))^2 with t = sqrt(z).  The log equals
     # 2t*g(t^2) with g(z) = sum z^k/(2k+1), so this is 1 + (8/pi^2) z g(z)^2,
     # on floats; the factor z is a shift, so g^2 is needed only to order-1.
@@ -151,24 +156,20 @@ def _parabolic_series(order: int) -> tuple[complex, ...]:
     return series.from_coeffs((1.0,) + tuple(8 / math.pi**2 * y for y in series.mul(g, g)))
 
 
-def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:
+def phi_series(spec: PhiSpec, order: int = 10) -> tuple[float, ...]:
     """Taylor expansion of phi to the requested order."""
     if order < 2:
         raise ValueError("order must be at least 2")
+    if bad := _missing(spec):
+        raise ValueError(bad)
     if spec.kind == "janowski":
-        if spec.A is None or spec.B is None:
-            raise ValueError("janowski requires parameters A and B")
         return _janowski_series(spec.A, spec.B, order)
     if spec.kind == "order-alpha":
-        if spec.alpha is None:
-            raise ValueError("order-alpha requires parameter alpha")
         return _janowski_series(1 - 2 * spec.alpha, -1.0, order)
     if spec.kind == "exp":
-        if spec.alpha is None:
-            raise ValueError("exp requires parameter alpha")
         return _exp_series(spec.alpha, order)
     if spec.kind == "cardioid":
-        return series.from_coeffs((1, 4 / 3, 2 / 3), order)
+        return series.from_coeffs((1.0, 4 / 3, 2 / 3), order)
     if spec.kind == "sine":
         cs = [0.0] * (order + 1)
         cs[0] = 1.0
@@ -183,16 +184,13 @@ def phi_series(spec: PhiSpec, order: int = 10) -> tuple[complex, ...]:
     if spec.kind == "parabolic":
         return _parabolic_series(order)
     if spec.kind == "limacon":
-        return series.from_coeffs((1, math.sqrt(2), 0.5), order)
+        return series.from_coeffs((1.0, math.sqrt(2), 0.5), order)
     if spec.kind == "nephroid":
-        return series.from_coeffs((1, 1, 0, -1 / 3), order)
+        return series.from_coeffs((1.0, 1.0, 0.0, -1 / 3), order)
     # custom
-    return series.from_coeffs((1,) + spec.custom, order)
+    return series.from_coeffs((1.0,) + spec.custom, order)
 
 
 def b_coeffs(spec: PhiSpec) -> tuple[float, float]:
-    """(B1, B2) read off phi's one order-3 expansion; both must be real."""
-    _, b1, b2, _ = phi_series(spec, order=3)
-    if abs(b1.imag) > REAL_TOL or abs(b2.imag) > REAL_TOL:
-        raise ValueError("B1 and B2 must be real")
-    return (b1.real, b2.real)
+    """(B1, B2) read off phi's one order-3 expansion."""
+    return phi_series(spec, order=3)[1:3]

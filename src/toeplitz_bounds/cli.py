@@ -262,12 +262,12 @@ COMMANDS = {
            (KIND, ("--mu", {"type": float, "required": True}), OUTPUT)),
     "verify": (cmd_verify, "check bounds against extremal and oracle", (
         KIND, ORDER,
-        ("--samples", {"type": int, "default": 200_000},
+        ("--samples", {"type": int, "default": OracleConfig().samples},
          lambda n: n >= 1, "--samples must be at least 1"),
         ("--seed", {"type": int, "default": None,
                     "help": f"default from ${oracle.SEED_ENV} or 7"},
          lambda n: n is None or n >= 0, "--seed must be non-negative"),
-        ("--polish-steps", {"type": int, "default": 40},
+        ("--polish-steps", {"type": int, "default": OracleConfig().polish_steps},
          lambda n: n >= 0, "--polish-steps must be non-negative"),
         ("--tol", {"type": float, "default": 1e-3},
          lambda x: x >= 0, "--tol must be a non-negative number"),

@@ -7,8 +7,8 @@ H' = K/z and a_n(H) = a_n(K)/n: a2 = i*B1, a3 = -(B1^2 + B2)/2 for K and
 a2 = i*B1/2, a3 = -(B1^2 + B2)/6 for H.  Under the theorem hypotheses,
 |T2(2)| and |T3(1)| there equal the closed-form bounds exactly.
 
-phi's coefficients c_k are real (see ``series``), so a_n(K) = i^(n-1) alpha_n
-with real alpha_n: the recursion and the residual run on floats.
+phi's coefficients c_k are floats (see ``series``), so a_n(K) = i^(n-1) alpha_n
+with real alpha_n: the recursion and the residual run on floats, a_n alone is complex.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import _kernels, series
 from .bounds import ClassKind
-from .catalog import REAL_TOL, PhiSpec, phi_series, validate
+from .catalog import PhiSpec, phi_series, validate
 
 
 class ExtremalFunction(NamedTuple):
@@ -39,29 +39,25 @@ class ExtremalFunction(NamedTuple):
     @property
     def t22_value(self) -> float:
         """|T2(2)| at this function's (a2, a3)."""
-        return _kernels.functional(_kernels.T22, self.a2, self.a3)
+        return _kernels.functional("t22", self.a2, self.a3)
 
     @property
     def t31_value(self) -> float:
         """|T3(1)| at this function's (a2, a3)."""
-        return _kernels.functional(_kernels.T31, self.a2, self.a3)
+        return _kernels.functional("t31", self.a2, self.a3)
 
 
 _last_phi: tuple = (None, 0, ())  # (spec, order, c); holding spec keeps its id unique
 
 
 def _phi_coeffs(spec: PhiSpec, order: int) -> tuple[float, ...]:
-    """Re of phi's coefficients c_0 .. c_order, as ``b_coeffs`` reads B1, B2.
-    The last result is reused for the same spec object and order, not an ==
-    one: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
+    """phi's c_0 .. c_order; the last result is reused for the same spec object
+    and order, not an == one: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
     global _last_phi
     last_spec, last_order, c = _last_phi  # one read, so a racing call cannot mix slots
     if last_spec is spec and last_order == order:
         return c
-    phi = phi_series(spec, order)
-    if any(abs(x.imag) > REAL_TOL for x in phi):
-        raise ValueError("phi must have real coefficients (symmetric about the real axis)")
-    c = tuple(x.real for x in phi)
+    c = phi_series(spec, order)
     _last_phi = (spec, order, c)
     return c
 
@@ -97,9 +93,8 @@ def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
 
     Starlike: z K' - K * phi(iz), checked at every index up to the order.
     Convex: z H'' - H' * (phi(iz) - 1), checked up to order-1 because the
-    last coefficient of H' is not determined at this truncation.  The defect is
-    measured against Re phi (see _phi_coeffs).  Each a_n/i^(n-1) splits exactly
-    into parts p and q; q is 0 unless a_n left the axis i^(n-1).
+    last coefficient of H' is not determined at this truncation.  Each a_n/i^(n-1)
+    splits exactly into parts p and q; q is 0 unless a_n left the axis i^(n-1).
     """
     order = ef.order
     c = _phi_coeffs(spec, order)

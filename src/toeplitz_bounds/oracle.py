@@ -128,21 +128,20 @@ def maximize(kind: ClassKind, b1: float, b2: float,
         raise ValueError("sample budget must be at least 1")
 
     seed = config.resolved_seed()
-    func_ids = [_FUNCTIONALS.index(name) for name in names]
     base, extra = divmod(config.samples, SHARDS)
 
     tops = []  # per shard: (values, w1, w2) of each functional's best draws, a row each
     for shard in range(min(SHARDS, config.samples)):
         w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
-        a2, a3 = _kernels.a2a3(kind.id, b1, b2, w1, w2)
-        vals = [_kernels.eval_batch(func_id, mu, a2, a3) for func_id in func_ids]
+        a2, a3 = _kernels.a2a3(kind, b1, b2, w1, w2)
+        vals = [_kernels.eval_batch(name, mu, a2, a3) for name in names]
         keep = min(TOP_CANDIDATES, len(w1))
         top = np.array([np.argpartition(v, -keep)[-keep:] for v in vals])
         tops.append((np.array([v[k] for v, k in zip(vals, top)]), w1[top], w2[top]))
     vals, w1, w2 = (np.concatenate(part, axis=1) for part in zip(*tops))
     best = np.argsort(-vals, axis=1, kind="stable")[:, :TOP_CANDIDATES]
     w1, w2 = (np.take_along_axis(w, best, axis=1) for w in (w1, w2))
-    _, rows = _kernels.polish(kind.id, b1, b2, func_ids, mu, w1, w2, config.polish_steps)
+    _, rows = _kernels.polish(kind, b1, b2, names, mu, w1, w2, config.polish_steps)
     results = tuple(OracleResult(
         functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
         samples=config.samples + len(DISTINGUISHED), seed=seed,

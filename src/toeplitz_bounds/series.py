@@ -2,10 +2,11 @@
 
 A series of order N is a plain tuple of the coefficients of z^0 .. z^N,
 complex or real floats; every operation truncates its result at the
-common order, and mul and sqrt1p keep the coefficient type they are given.
-A Ma-Minda phi is symmetric about the real axis, so its coefficients are
-real: on floats the O(N^2) loops cost half as much, and the products keep
-their bits, as the real part of (x+0j)*(y+0j) is exactly x*y.  Sums are
+common order and keeps the coefficient type it is given.  A Ma-Minda phi
+is symmetric about the real axis, so its coefficients are real and
+``phi_series`` returns floats; the extremal coefficients are complex.  On
+floats the O(N^2) loops cost half as much, and the products keep their
+bits, as the real part of (x+0j)*(y+0j) is exactly x*y.  Sums are
 explicit loops: from Python 3.12 the builtin ``sum`` adds floats with
 compensation, which would move the last bits.  Tuples are immutable and
 all operations are pure, so series can be shared freely.
@@ -22,15 +23,15 @@ from typing import Iterable
 COMPOSE_TOL = 1e-12
 
 
-def from_coeffs(coeffs: Iterable[complex], order: int | None = None) -> tuple[complex, ...]:
-    """Build a series from leading coefficients, cut or zero-padded to `order`."""
+def from_coeffs(coeffs: Iterable, order: int | None = None) -> tuple:
+    """Build a series from leading coefficients, cut or 0.0-padded to `order`."""
     if order is not None and order < 0:
         raise ValueError("order must be >= 0")
     cs = tuple(coeffs)
     n = len(cs) if order is None else order + 1
     if n == 0:
         raise ValueError("a series needs at least the constant coefficient")
-    return tuple(complex(c) for c in cs[:n] + (0j,) * (n - len(cs)))
+    return cs[:n] + (0.0,) * (n - len(cs))
 
 
 def _common_order(a: tuple[complex, ...], b: tuple[complex, ...]) -> int:

@@ -4,17 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
 import json
-import pathlib
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from toeplitz_bounds import catalog
 from toeplitz_bounds.bounds import (
     ClassKind,
     fekete_szego,
-    full_report,
     t22_bound,
     t31_bound,
 )

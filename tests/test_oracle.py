@@ -18,7 +18,6 @@ from toeplitz_bounds.bounds import (
 from toeplitz_bounds.oracle import OracleConfig, SchwarzPoint, maximize
 
 ST, CV = ClassKind.STARLIKE, ClassKind.CONVEX
-FS = oracle._FUNCTIONALS.index("fs")  # the kernels' id for |a3 - mu*a2^2|
 
 
 REGION_TOL = 1e-12
@@ -51,16 +50,16 @@ def a2a3_from_caratheodory(kind: ClassKind, b1: float, b2: float,
 def caratheodory_crosscheck(kind: ClassKind, b1: float, b2: float,
                             p: SchwarzPoint) -> float:
     """Discrepancy between the direct (w1,w2) route and the (c1,c2) route."""
-    a2w, a3w = _kernels.a2a3(kind.id, b1, b2, p.w1, p.w2)
+    a2w, a3w = _kernels.a2a3(kind, b1, b2, p.w1, p.w2)
     c1 = 2 * p.w1
     c2 = 2 * (p.w2 + p.w1 * p.w1)
     a2c, a3c = a2a3_from_caratheodory(kind, b1, b2, c1, c2)
     return max(abs(a2w - a2c), abs(a3w - a3c))
 
 
-def polish_one(kind_id, b1, b2, func_id, mu, w1, w2, halvings):
+def polish_one(kind, b1, b2, name, mu, w1, w2, halvings):
     """``_kernels.polish`` on the candidates of one functional: its (value, w1, w2)."""
-    return _kernels.polish(kind_id, b1, b2, (func_id,), mu, np.reshape(w1, (1, -1)),
+    return _kernels.polish(kind, b1, b2, (name,), mu, np.reshape(w1, (1, -1)),
                            np.reshape(w2, (1, -1)), halvings)[1][0]
 
 
@@ -89,28 +88,28 @@ def random_points(n, seed=0):
 
 class TestCoefficientMaps:
     def test_starlike_witness_point(self):
-        a2, a3 = _kernels.a2a3(ST.id, 2, 2, 1j, 0)
+        a2, a3 = _kernels.a2a3(ST, 2, 2, 1j, 0)
         assert a2 == pytest.approx(2j)
         assert a3 == pytest.approx(-3)
 
     def test_convex_witness_point(self):
-        a2, a3 = _kernels.a2a3(CV.id, 1, 0.5, 1j, 0)
+        a2, a3 = _kernels.a2a3(CV, 1, 0.5, 1j, 0)
         assert a2 == pytest.approx(0.5j)
         assert a3 == pytest.approx(-0.25)
 
     def test_zero_point(self):
-        assert _kernels.a2a3(ST.id, 1.5, 0.2, 0, 0) == (0, 0)
+        assert _kernels.a2a3(ST, 1.5, 0.2, 0, 0) == (0, 0)
 
 
 class TestFunctionalValues:
     def test_t22_classical(self):
-        assert _kernels.functional(_kernels.T22, 2j, -3) == pytest.approx(13.0)
+        assert _kernels.functional("t22", 2j, -3) == pytest.approx(13.0)
 
     def test_t31_identity_row(self):
-        assert _kernels.functional(_kernels.T31, 0, 0) == pytest.approx(1.0)
+        assert _kernels.functional("t31", 0, 0) == pytest.approx(1.0)
 
     def test_t31_lune_extremal(self):
-        assert _kernels.functional(_kernels.T31, 1j, -0.75) == pytest.approx(63 / 16)
+        assert _kernels.functional("t31", 1j, -0.75) == pytest.approx(63 / 16)
 
 
 class TestCrosscheck:
@@ -155,8 +154,8 @@ class TestMaximize:
 
     def test_argmax_reproduces_value(self):
         res = maximize(CV, 1.2, 0.1, "t22", FAST)
-        a2, a3 = _kernels.a2a3(CV.id, 1.2, 0.1, *res.argmax)
-        assert _kernels.functional(_kernels.T22, a2, a3) == pytest.approx(
+        a2, a3 = _kernels.a2a3(CV, 1.2, 0.1, *res.argmax)
+        assert _kernels.functional("t22", a2, a3) == pytest.approx(
             res.sup_estimate, abs=1e-12
         )
 
@@ -266,11 +265,11 @@ class TestMaximize:
 
 class TestKernels:
     def test_fekete_szego_default_mu_is_zero(self):
-        assert _kernels.functional(FS, 1j, 0.5) == 0.5  # |a3 - 0*a2^2|, not |0.5 + 1|
+        assert _kernels.functional("fs", 1j, 0.5) == 0.5  # |a3 - 0*a2^2|, not |0.5 + 1|
 
-    @pytest.mark.parametrize("kind_id", [0, 1])
-    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
-    def test_batch_matches_scalar(self, kind_id, func_id):
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("name", ["t22", "t31", "fs"])
+    def test_batch_matches_scalar(self, kind, name):
         # One formula serves both paths.  numpy's SIMD loops for complex
         # multiply and abs round differently from scalar arithmetic, so the
         # two agree to rounding rather than bit for bit.
@@ -278,12 +277,12 @@ class TestKernels:
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
         b1, b2, mu = 1.3, -0.4, 0.7
-        batch = _kernels.eval_batch(func_id, mu, *_kernels.a2a3(kind_id, b1, b2, w1, w2))
+        batch = _kernels.eval_batch(name, mu, *_kernels.a2a3(kind, b1, b2, w1, w2))
         for value, p1, p2 in zip(batch, w1, w2):
             # polish evaluates numpy scalars, the extremal values Python complex
             for s1, s2 in ((p1, p2), (complex(p1), complex(p2))):
-                a2, a3 = _kernels.a2a3(kind_id, b1, b2, s1, s2)
-                scalar = _kernels.functional(func_id, a2, a3, mu)
+                a2, a3 = _kernels.a2a3(kind, b1, b2, s1, s2)
+                scalar = _kernels.functional(name, a2, a3, mu)
                 assert value == pytest.approx(scalar, rel=1e-14, abs=1e-14)
 
     def test_polish_never_calls_eval_batch(self, monkeypatch):
@@ -291,7 +290,7 @@ class TestKernels:
             raise AssertionError("polish must evaluate scalars itself")
 
         monkeypatch.setattr(_kernels, "eval_batch", forbidden)
-        val, w1, w2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0,
+        val, w1, w2 = polish_one(ST, 2.0, 2.0, "t22", 0.0,
                                  np.complex128(0.9j), np.complex128(0.1), 40)
         assert val == pytest.approx(13.0, abs=1e-3)
         assert in_region(complex(w1), complex(w2))
@@ -381,19 +380,19 @@ class TestSampleShard:
     def test_polish_starts_from_the_best_draws(self, monkeypatch):
         starts = []
 
-        def recorded(kind_id, b1, b2, func_ids, mu, w1, w2, halvings):
-            starts.extend(zip(func_ids, w1, w2))
-            return 0.0, ((0.0, 0j, 0j),) * len(func_ids)
+        def recorded(kind, b1, b2, names, mu, w1, w2, halvings):
+            starts.extend(zip(names, w1, w2))
+            return 0.0, ((0.0, 0j, 0j),) * len(names)
 
         monkeypatch.setattr(_kernels, "polish", recorded)
         maximize(CV, 1.3, -0.4, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
-        assert [func_id for func_id, _, _ in starts] == [_kernels.T22, _kernels.T31]
+        assert [name for name, _, _ in starts] == ["t22", "t31"]
         # every value at the length maximize evaluates it: rounding depends on it
         shards = [oracle._sample_shard(7, shard, 250) for shard in range(oracle.SHARDS)]
-        for func_id, w1, w2 in starts:
+        for name, w1, w2 in starts:
             value = {}
             for s1, s2 in shards:
-                vals = _kernels.functional(func_id, *_kernels.a2a3(1, 1.3, -0.4, s1, s2))
+                vals = _kernels.functional(name, *_kernels.a2a3(CV, 1.3, -0.4, s1, s2))
                 value.update(zip(zip(s1.tolist(), s2.tolist()), vals.tolist()))
             assert len(w1) == oracle.TOP_CANDIDATES
             best = sorted(value[p] for p in zip(w1.tolist(), w2.tolist()))
@@ -456,7 +455,7 @@ def test_documented_defaults(monkeypatch):
 class TestPolish:
     def test_reaches_supremum_on_the_circle(self):
         # Coordinate ascent stalled at 12.99976 here, on |w1| = 1.
-        val, _, _ = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0,
+        val, _, _ = polish_one(ST, 2.0, 2.0, "t22", 0.0,
                                np.complex128(0.9j), np.complex128(0.1), 40)
         assert val == pytest.approx(13.0, abs=1e-9)
 
@@ -466,8 +465,8 @@ class TestPolish:
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
         w1[5], w2[5] = witness, 0
-        start = _kernels.eval_batch(_kernels.T22, 0.0, *_kernels.a2a3(0, 2.0, 2.0, w1, w2))
-        val, p1, p2 = polish_one(0, 2.0, 2.0, _kernels.T22, 0.0, w1, w2, 40)
+        start = _kernels.eval_batch("t22", 0.0, *_kernels.a2a3(ST, 2.0, 2.0, w1, w2))
+        val, p1, p2 = polish_one(ST, 2.0, 2.0, "t22", 0.0, w1, w2, 40)
         assert (type(val), type(p1), type(p2)) == (float, complex, complex)
         assert in_region(p1, p2)
         assert val >= start[5]
@@ -478,32 +477,32 @@ class TestPolish:
         pts = random_points(32, seed=11)
         w1 = np.array([p.w1 for p in pts]).reshape(2, 16)
         w2 = np.array([p.w2 for p in pts]).reshape(2, 16)
-        best, rows = _kernels.polish(1, 1.3, -0.4, (_kernels.T22, _kernels.T31), 0.0,
+        best, rows = _kernels.polish(CV, 1.3, -0.4, ("t22", "t31"), 0.0,
                                      w1, w2, 3)
         assert type(best) is float and len(rows) == 2
         assert best == max(value for value, _, _ in rows) == rows[1][0]
 
-    @pytest.mark.parametrize("kind_id", [0, 1])
-    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
-    def test_divides_by_no_zero(self, kind_id, func_id):
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("name", ["t22", "t31", "fs"])
+    def test_divides_by_no_zero(self, kind, name):
         # On or outside the circle with w2 = 0, |w2| and its cap are both 0:
         # the projection must not divide there, or numpy warns on stderr.
         w1 = np.array([1j, -1, 0.6 + 0.8j, 0.3, 1.5])
         w2 = np.array([0, 0, 0, 0.2j, 0])
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            polish_one(kind_id, 1.3, -0.4, func_id, 0.7, w1, w2, 12)
+            polish_one(kind, 1.3, -0.4, name, 0.7, w1, w2, 12)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([ST, CV]),
+           st.sampled_from(["t22", "t31", "fs"]),
            st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
-    def test_batch_is_best_of_single_polishes(self, seed, kind_id, func_id, b1, b2):
+    def test_batch_is_best_of_single_polishes(self, seed, kind, name, b1, b2):
         # The shared step must not couple the candidates.
         pts = random_points(6, seed=seed)
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
-        batch = polish_one(kind_id, b1, b2, func_id, 0.7, w1, w2, 12)
-        single = max(polish_one(kind_id, b1, b2, func_id, 0.7, p.w1, p.w2, 12)[0]
+        batch = polish_one(kind, b1, b2, name, 0.7, w1, w2, 12)
+        single = max(polish_one(kind, b1, b2, name, 0.7, p.w1, p.w2, 12)[0]
                      for p in pts)
         assert batch[0] == pytest.approx(single, rel=1e-14, abs=0)
 
@@ -514,16 +513,16 @@ class TestArgmaxCarriesItsValue:
     another (say, w2 read as x2 - i*y2) shows: at w2 = 0 it cannot."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([ST, CV]),
+           st.sampled_from(["t22", "t31", "fs"]),
            st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
            st.integers(0, 3))
-    def test_polish(self, seed, kind_id, func_id, b1, b2, mu, halvings):
+    def test_polish(self, seed, kind, name, b1, b2, mu, halvings):
         pts = random_points(6, seed=seed)
         w1 = np.array([p.w1 for p in pts])
         w2 = np.array([p.w2 for p in pts])
-        val, p1, p2 = polish_one(kind_id, b1, b2, func_id, mu, w1, w2, halvings)
-        at, scale = value_and_scale(kind_id, b1, b2, func_id, mu, p1, p2)
+        val, p1, p2 = polish_one(kind, b1, b2, name, mu, w1, w2, halvings)
+        at, scale = value_and_scale(kind, b1, b2, name, mu, p1, p2)
         assert abs(val - at) <= 1e-13 * scale
 
     @pytest.mark.parametrize("kind", [ST, CV])
@@ -536,8 +535,8 @@ class TestArgmaxCarriesItsValue:
         cfg = OracleConfig(samples=64, seed=3, polish_steps=polish_steps)
         res = maximize(kind, 1.0, -0.9, "fs", cfg, mu=mu)
         assert res.argmax.w1 != 0 and res.argmax.w2 != 0
-        a2, a3 = _kernels.a2a3(kind.id, 1.0, -0.9, *res.argmax)
-        assert _kernels.functional(FS, a2, a3, mu) == pytest.approx(res.sup_estimate,
+        a2, a3 = _kernels.a2a3(kind, 1.0, -0.9, *res.argmax)
+        assert _kernels.functional("fs", a2, a3, mu) == pytest.approx(res.sup_estimate,
                                                                     rel=1e-13)
 
 
@@ -550,39 +549,39 @@ def schwarz_points(draw):
     return cmath.rect(r, t1), cmath.rect(rho, t2)
 
 
-def value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2):
+def value_and_scale(kind, b1, b2, name, mu, w1, w2):
     """The functional at (w1, w2) and a bound on the size of its terms.
 
     The tolerance is relative to the terms, not to the value, which can
     cancel to zero.
     """
-    a2, a3 = _kernels.a2a3(kind_id, b1, b2, w1, w2)
+    a2, a3 = _kernels.a2a3(kind, b1, b2, w1, w2)
     scale = (1.0 + abs(mu)) * (1.0 + abs(a2) ** 2 + abs(a3)) ** 2
-    return _kernels.functional(func_id, a2, a3, mu), scale
+    return _kernels.functional(name, a2, a3, mu), scale
 
 
 class TestInvariance:
     @settings(max_examples=200, deadline=None)
-    @given(schwarz_points(), st.sampled_from([0, 1]),
-           st.sampled_from([_kernels.T22, _kernels.T31, FS]),
+    @given(schwarz_points(), st.sampled_from([ST, CV]),
+           st.sampled_from(["t22", "t31", "fs"]),
            st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-    def test_conjugation(self, point, kind_id, func_id, b1, b2, mu):
+    def test_conjugation(self, point, kind, name, b1, b2, mu):
         # Real B1, B2 and mu: F(conj w1, conj w2) = F(w1, w2).
         w1, w2 = point
-        base, scale = value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2)
-        conj, _ = value_and_scale(kind_id, b1, b2, func_id, mu,
+        base, scale = value_and_scale(kind, b1, b2, name, mu, w1, w2)
+        conj, _ = value_and_scale(kind, b1, b2, name, mu,
                                   w1.conjugate(), w2.conjugate())
         assert abs(conj - base) <= 1e-12 * scale
 
     @settings(max_examples=200, deadline=None)
-    @given(schwarz_points(), st.sampled_from([0, 1]), st.floats(0.0, 2 * cmath.pi),
+    @given(schwarz_points(), st.sampled_from([ST, CV]), st.floats(0.0, 2 * cmath.pi),
            st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-    def test_fekete_szego_rotation(self, point, kind_id, theta, b1, b2, mu):
+    def test_fekete_szego_rotation(self, point, kind, theta, b1, b2, mu):
         # w1 -> u w1, w2 -> u^2 w2 maps a2 -> u a2 and a3 -> u^2 a3, |u| = 1.
         w1, w2 = point
         u = cmath.exp(1j * theta)
-        base, scale = value_and_scale(kind_id, b1, b2, FS, mu, w1, w2)
-        turned, _ = value_and_scale(kind_id, b1, b2, FS, mu,
+        base, scale = value_and_scale(kind, b1, b2, "fs", mu, w1, w2)
+        turned, _ = value_and_scale(kind, b1, b2, "fs", mu,
                                     u * w1, u * u * w2)
         assert abs(turned - base) <= 1e-12 * scale
 
@@ -601,21 +600,20 @@ class TestMaximumModulus:
     CIRCLE = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
     @pytest.mark.parametrize("kind", [ST, CV])
-    @pytest.mark.parametrize("func_id", [_kernels.T22, _kernels.T31, FS])
+    @pytest.mark.parametrize("name", ["t22", "t31", "fs"])
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(0.0, 1.0), t1=st.floats(0.0, 2 * cmath.pi),
            shrink=st.floats(0.0, 0.99), t2=st.floats(0.0, 2 * cmath.pi),
            b1=st.floats(0.01, 5.0), b2=st.floats(-5.0, 5.0), mu=st.floats(-5.0, 5.0))
-    def test_interior_is_at_most_the_circle(self, kind, func_id, r, t1, shrink, t2,
+    def test_interior_is_at_most_the_circle(self, kind, name, r, t1, shrink, t2,
                                             b1, b2, mu):
-        kind_id = 0 if kind is ST else 1
         w1 = cmath.rect(r, t1)
         cap = 1.0 - r * r
         w2 = cmath.rect(shrink * cap, t2)
-        inside = _kernels.eval_batch(func_id, mu, *_kernels.a2a3(
-            kind_id, b1, b2, np.array([w1]), np.array([w2])))[0]
+        inside = _kernels.eval_batch(name, mu, *_kernels.a2a3(
+            kind, b1, b2, np.array([w1]), np.array([w2])))[0]
         a2, a3 = a2a3_from_caratheodory(kind, b1, b2, 2 * w1,
                                         2 * (cap * self.CIRCLE + w1 * w1))
-        on_circle = _kernels.functional(func_id, a2, a3, mu).max()
-        _, scale = value_and_scale(kind_id, b1, b2, func_id, mu, w1, w2)
+        on_circle = _kernels.functional(name, a2, a3, mu).max()
+        _, scale = value_and_scale(kind, b1, b2, name, mu, w1, w2)
         assert inside <= on_circle + 1e-9 * scale

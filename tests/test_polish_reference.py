@@ -20,6 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toeplitz_bounds import _kernels
+from toeplitz_bounds.bounds import ClassKind
+
+# the frozen copy's kind_id and func_id, as the kernels' ClassKind and name
+KINDS, NAMES = (ClassKind.STARLIKE, ClassKind.CONVEX), ("t22", "t31", "fs")
 
 
 def ref_a2a3(kind_id, b1, b2, w1, w2):
@@ -126,8 +130,8 @@ def stacked_sets(draw):
          1, 1.3, -0.4, 0.7, 3)
 def test_polish_matches_frozen_copy_bytewise(stacked, kind_id, b1, b2, mu, halvings):
     func_ids, w1, w2 = stacked
-    best, rows = _kernels.polish(kind_id, b1, b2, func_ids, mu, w1.copy(), w2.copy(),
-                                 halvings)
+    best, rows = _kernels.polish(KINDS[kind_id], b1, b2, tuple(NAMES[f] for f in func_ids),
+                                 mu, w1.copy(), w2.copy(), halvings)
     assert len(rows) == len(func_ids)
     for func_id, got, row1, row2 in zip(func_ids, rows, w1, w2):
         want = ref_polish(kind_id, b1, b2, func_id, mu, row1.copy(), row2.copy(),

@@ -113,11 +113,9 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="at least the constant coefficient"):
             from_coeffs(())
 
-    def test_series_holds_complex(self):
-        s = from_coeffs((1, 2))
-        assert s == (1 + 0j, 2 + 0j)
-        assert all(type(c) is complex for c in s)
-        assert repr(s) == "((1+0j), (2+0j))"
+    def test_series_keeps_its_coefficient_types(self):
+        s = from_coeffs((1, 2.0, 3j), 4)
+        assert repr(s) == "(1, 2.0, 3j, 0.0, 0.0)"
 
     def test_series_is_a_plain_tuple(self):
         s = from_coeffs((1, 2, 3))
