@@ -5,12 +5,14 @@
 same expressions work on Python scalars and on numpy arrays; ``eval_batch``
 and ``polish`` evaluate arrays with them.  numpy's complex loops round by
 array length and layout: check any reshaping bytewise (test_polish_reference).
-A kind is a ``ClassKind`` and a functional its name, "t22", "t31" or "fs".
+A kind is a ``ClassKind`` and a functional one of the names in ``FUNCTIONALS``.
 """
 
 from __future__ import annotations
 
 from .bounds import ClassKind
+
+FUNCTIONALS = ("t22", "t31", "fs")  # the one list of names; any other raises ValueError
 
 
 def a2a3(kind, b1, b2, w1, w2):
@@ -25,13 +27,15 @@ def a2a3(kind, b1, b2, w1, w2):
 
 
 def functional(name, a2, a3, mu=0.0):
-    """|T2(2)|, |T3(1)| or |a3 - mu*a2^2| (any other name) at (a2, a3)."""
+    """|T2(2)| ("t22"), |T3(1)| ("t31") or |a3 - mu*a2^2| ("fs") at (a2, a3)."""
     if name == "t22":
         return abs(a3 * a3 - a2 * a2)
     if name == "t31":
         t = 2.0 * a2 * a2
         return abs(1.0 - t - a3 * (a3 - t))
-    return abs(a3 - mu * a2 * a2)
+    if name == "fs":
+        return abs(a3 - mu * a2 * a2)
+    raise ValueError(f"unknown functional {name!r}")
 
 
 def eval_batch(name, mu, a2, a3):

@@ -52,7 +52,11 @@ class PhiSpec(_PhiFields):
         cs = tuple(map(complex, spec.custom))
         if not all(abs(c.imag) <= REAL_TOL for c in cs):
             raise ValueError("custom coefficients must be real")
-        return spec._replace(custom=tuple(c.real for c in cs)) if cs else spec
+        return super().__new__(cls, *spec[:4], tuple(c.real for c in cs)) if cs else spec
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
 
     def describe_params(self) -> dict:
         if self.kind == "custom":

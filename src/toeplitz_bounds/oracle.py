@@ -9,9 +9,9 @@ that closed region computes the true supremum over the whole family.
 The search is deterministic for a fixed seed: boundary-biased samples,
 w2 on the shell |w2| = 1 - |w1|^2, are drawn in independent shards (seed
 derived from the master seed and the shard index) after the distinguished
-points, and the best candidates are refined together by a projected
-pattern search.  One call may maximize several functionals over the same
-draws: each shard's (a2, a3) are computed once and every functional is
+points, and the best draws, one per basin, are refined together by a
+projected pattern search.  One call may maximize several functionals over
+the same draws: each shard's (a2, a3) are computed once and every one is
 evaluated on them, which is how ``verify`` checks T2(2) and T3(1).
 Results in the open hypothesis region are estimates, never bounds.
 
@@ -29,9 +29,8 @@ from .bounds import ClassKind, check_domain
 
 SEED_ENV = "TOEPLITZ_BOUNDS_SEED"
 SHARDS = 8  # independent sample streams per call
-TOP_CANDIDATES = 16  # best points per functional that the polish refines
-
-_FUNCTIONALS = ("t22", "t31", "fs")
+TOP_CANDIDATES = 16  # best draws per functional, thinned by _distinct before the polish
+BASIN = 2.0 ** -7  # in max(|dw1|, |dw2|): a start this close to a better one is dropped
 
 # Always-evaluated candidates: the theorem witnesses sit at (+-i, 0) and
 # (+-1, 0); the pure-w2 points pick up the middle Fekete-Szego branch.
@@ -97,12 +96,30 @@ def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray
     np.sqrt(np.add(scale, np.square(sin), out=scale), out=scale)
     scale[nb:n] /= r
     scale[n:] /= 1.0 - r * r
-    w1, w2 = np.zeros((2, h + n), dtype=np.complex128)
+    w1, w2 = np.empty((2, h + n), dtype=np.complex128)
     w1[:h], w2[:h] = head.T
+    w2[h:h + nb] = 0.0  # every other element is written below, so no page is zeroed first
     for w, k in ((w1[h:], slice(None, n)), (w2[h + nb:], slice(n, None))):
         np.divide(cos[k], scale[k], out=w.real)
         np.divide(sin[k], scale[k], out=w.imag)
     return w1, w2
+
+
+def _distinct(w1, w2):
+    """Rows (F, K) of best-first candidates without any within BASIN of a
+    better kept one: near-copies of the best gain ulps on every sweep and
+    keep polish at 8 sweeps a level.  Rows are padded with their first
+    candidate, whose copy ties it, so polish's first argmax is unchanged."""
+    import numpy as np
+
+    near = np.maximum(abs(w1[:, :, None] - w1[:, None]), abs(w2[:, :, None] - w2[:, None])) <= BASIN
+    keep = np.ones(w1.shape, dtype=bool)
+    for j in range(1, w1.shape[1]):
+        keep[:, j] = ~(near[:, j, :j] & keep[:, :j]).any(axis=1)
+    count = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :count.max()]
+    order[np.arange(order.shape[1]) >= count[:, None]] = 0
+    return [np.take_along_axis(w, order, axis=1) for w in (w1, w2)]
 
 
 def maximize(kind: ClassKind, b1: float, b2: float,
@@ -121,7 +138,7 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     if not names:
         raise ValueError("no functional to maximize")
     for name in names:
-        if name not in _FUNCTIONALS:
+        if name not in _kernels.FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
     check_domain(b1, b2, mu)
     if config.samples < 1:
@@ -140,7 +157,7 @@ def maximize(kind: ClassKind, b1: float, b2: float,
         tops.append((np.array([v[k] for v, k in zip(vals, top)]), w1[top], w2[top]))
     vals, w1, w2 = (np.concatenate(part, axis=1) for part in zip(*tops))
     best = np.argsort(-vals, axis=1, kind="stable")[:, :TOP_CANDIDATES]
-    w1, w2 = (np.take_along_axis(w, best, axis=1) for w in (w1, w2))
+    w1, w2 = _distinct(*(np.take_along_axis(w, best, axis=1) for w in (w1, w2)))
     _, rows = _kernels.polish(kind, b1, b2, names, mu, w1, w2, config.polish_steps)
     results = tuple(OracleResult(
         functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),

@@ -119,6 +119,19 @@ class TestCustomConstructor:
         assert b_coeffs(catalog.custom(1 + 1e-12j, 0.5 - 1e-12j)) == (1.0, 0.5)
         assert catalog.custom(1 + 1e-12j, 2).describe_params() == {"b1": 1.0, "b2": 2.0}
 
+    def test_replace_and_make_run_the_checks(self):
+        # the namedtuple API builds through __new__ too, not around it
+        with pytest.raises(ValueError, match="^custom coefficients must be real$"):
+            catalog.custom(1.0, 0.5)._replace(custom=(1.0, 0.5j))
+        with pytest.raises(ValueError, match="^custom coefficients must be real$"):
+            PhiSpec._make(("custom", None, None, None, (2j,)))
+        with pytest.raises(ValueError, match="^unknown phi kind 'cusp'$"):
+            catalog.CARDIOID._replace(kind="cusp")
+        spec = catalog.custom(1.0, 0.5)._replace(custom=(2, 1e-12j, -0.0))
+        assert type(spec) is PhiSpec
+        assert repr(spec.custom) == "(2.0, 0.0, -0.0)"
+        assert PhiSpec._make(spec) == spec
+
 
 class TestElementwiseMaps:
     """The lune and parabolic maps add series element-wise, and sine is

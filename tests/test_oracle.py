@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ class TestFunctionalValues:
 
     def test_t31_lune_extremal(self):
         assert _kernels.functional("t31", 1j, -0.75) == pytest.approx(63 / 16)
+
+    @pytest.mark.parametrize("name", ["t23", "FS", "", None])
+    def test_unknown_name_raises(self, name):
+        w = np.array([[1j]])
+        with pytest.raises(ValueError, match="^unknown functional "):
+            _kernels.functional(name, 1j, 0.5)
+        with pytest.raises(ValueError, match="^unknown functional "):
+            _kernels.eval_batch(name, 0.0, w[0], w[0])
+        with pytest.raises(ValueError, match="^unknown functional "):
+            _kernels.polish(ST, 1.0, 0.5, (name,), 0.0, w, 0 * w, 1)
+
+    def test_maximize_checks_the_kernels_names(self, monkeypatch):
+        # one list of names: maximize's check before sampling reads the kernels'
+        assert _kernels.FUNCTIONALS == ("t22", "t31", "fs")
+        monkeypatch.setattr(_kernels, "FUNCTIONALS", ("t22", "t31"))
+        with pytest.raises(ValueError, match="^unknown functional 'fs'$"):
+            maximize(ST, 1.0, 0.5, "fs", OracleConfig(samples=0))
 
 
 class TestCrosscheck:
@@ -381,7 +399,7 @@ class TestSampleShard:
         starts = []
 
         def recorded(kind, b1, b2, names, mu, w1, w2, halvings):
-            starts.extend(zip(names, w1, w2))
+            starts.extend(zip(names, w1.tolist(), w2.tolist()))
             return 0.0, ((0.0, 0j, 0j),) * len(names)
 
         monkeypatch.setattr(_kernels, "polish", recorded)
@@ -389,14 +407,40 @@ class TestSampleShard:
         assert [name for name, _, _ in starts] == ["t22", "t31"]
         # every value at the length maximize evaluates it: rounding depends on it
         shards = [oracle._sample_shard(7, shard, 250) for shard in range(oracle.SHARDS)]
+        kept_counts = []
         for name, w1, w2 in starts:
             value = {}
             for s1, s2 in shards:
                 vals = _kernels.functional(name, *_kernels.a2a3(CV, 1.3, -0.4, s1, s2))
                 value.update(zip(zip(s1.tolist(), s2.tolist()), vals.tolist()))
-            assert len(w1) == oracle.TOP_CANDIDATES
-            best = sorted(value[p] for p in zip(w1.tolist(), w2.tolist()))
-            assert best == sorted(value.values())[-oracle.TOP_CANDIDATES:]
+            ranked = sorted(value.values())
+            assert ranked[-oracle.TOP_CANDIDATES] > ranked[-oracle.TOP_CANDIDATES - 1]
+            top = [p for p in value if value[p] >= ranked[-oracle.TOP_CANDIDATES]]
+            row = list(zip(w1, w2))
+            n = next((j for j in range(1, len(row)) if row[j] == row[0]), len(row))
+            kept, pad = row[:n], row[n:]
+            kept_counts.append(n)
+            assert pad == [row[0]] * len(pad)
+            assert [value[p] for p in kept] == sorted((value[p] for p in kept), reverse=True)
+            assert value[kept[0]] == ranked[-1] and set(kept) <= set(top)
+            for j, p in enumerate(kept):
+                assert all(basin_distance(p, q) > oracle.BASIN for q in kept[:j])
+            for p in set(top) - set(kept):
+                assert any(basin_distance(p, q) <= oracle.BASIN and value[q] >= value[p]
+                           for q in kept)
+        assert max(kept_counts) == len(starts[0][1]) < oracle.TOP_CANDIDATES
+
+    def test_distinct_keeps_a_start_only_beyond_the_basin(self):
+        b = oracle.BASIN
+        w1 = np.array([[1j, 1j + b, 1j + 1.5 * b, 1j + 2.75 * b, -1j, -1j + 0.5 * b],
+                       [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]])
+        w2 = np.array([[0j, 0j, 0j, 0j, 0j, 0j],
+                       [0j, b * 1j, 2 * b * 1j, 0.5 + 0j, 0.5 * b, 0.5 + 0.5j * b]])
+        d1, d2 = oracle._distinct(w1, w2)
+        # at exactly BASIN a start shares the basin; later ones are judged against
+        # the kept ones only, and the shorter row is padded with its first start
+        assert d1.tolist() == [[1j, 1j + 1.5 * b, 1j + 2.75 * b, -1j], [0.5] * 4]
+        assert d2.tolist() == [[0j] * 4, [0j, 2 * b * 1j, 0.5, 0j]]
 
     def test_one_a2a3_per_shard_and_one_eval_batch_per_functional(self, monkeypatch):
         calls = dict.fromkeys(["a2a3", "eval_batch"], 0)
@@ -413,6 +457,42 @@ class TestSampleShard:
         monkeypatch.setattr(_kernels, "polish", lambda *args: (0.0, ((0.0, 0j, 0j),) * 2))
         maximize(ST, 1.0, 0.5, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
         assert calls == {"a2a3": oracle.SHARDS, "eval_batch": 2 * oracle.SHARDS}
+
+
+def basin_distance(p, q):
+    """The max-norm distance of two Schwarz points that _distinct thins by."""
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+
+class TestStartsPerBasin:
+    """Thinning the polish's starts to one per basin only saves sweeps: a
+    dropped start would have found no more than the kept ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([ST, CV]), st.floats(0.01, 5.0), st.floats(-5.0, 5.0),
+           st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1),
+           st.sampled_from([200, 2_000, 20_000]))
+    def test_sup_is_at_least_that_of_every_draw_polished(self, kind, b1, b2, mu, seed,
+                                                          samples):
+        cfg = OracleConfig(samples=samples, seed=seed)
+        names = ("t22", "t31", "fs")
+        thinned = maximize(kind, b1, b2, names, cfg, mu=mu)
+        with mock.patch.object(oracle, "_distinct", lambda w1, w2: (w1, w2)):
+            every = maximize(kind, b1, b2, names, cfg, mu=mu)
+        for got, ref in zip(thinned, every):
+            v = ref.sup_estimate
+            assert got.sup_estimate >= v - 1e-15 * max(1.0, abs(v))
+
+    def test_sweeps_on_a_sharp_cell(self, monkeypatch):
+        # exp at alpha = 0, starlike: the witness (+-i, 0) wins, and without the
+        # thinning its near-copies kept every level at 8 sweeps (179 in all)
+        calls = []
+        project = _kernels._project
+        monkeypatch.setattr(_kernels, "_project", lambda p: calls.append(1) or project(p))
+        res = maximize(ST, 1.0, 0.5, ("t22", "t31"), OracleConfig(seed=7))
+        assert [r.sup_estimate for r in res] == pytest.approx(
+            [t22_bound(ST, 1.0, 0.5).value, t31_bound(ST, 1.0, 0.5).value], rel=1e-15)
+        assert len(calls) - 1 <= 60  # one projection of the starts, one per sweep
 
 
 def test_in_region_predicate():
@@ -449,7 +529,7 @@ def test_documented_defaults(monkeypatch):
     assert OracleConfig().resolved_seed() == 7
     assert OracleConfig().samples == 200_000
     assert OracleConfig().polish_steps == 40
-    assert (oracle.SHARDS, oracle.TOP_CANDIDATES) == (8, 16)
+    assert (oracle.SHARDS, oracle.TOP_CANDIDATES, oracle.BASIN) == (8, 16, 2**-7)
 
 
 class TestPolish:
