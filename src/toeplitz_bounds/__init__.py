@@ -8,7 +8,6 @@ from .bounds import (
     BoundReport,
     ClassKind,
     a2_bound,
-    a3_bound,
     fekete_szego,
     full_report,
     t22_bound,
@@ -42,7 +41,6 @@ __all__ = [
     "PhiSpec",
     "SchwarzPoint",
     "a2_bound",
-    "a3_bound",
     "alpha_exponential",
     "b_coeffs",
     "custom",

@@ -84,10 +84,6 @@ def a2_bound(kind: ClassKind, b1: float) -> float:
     return b1 / kind.scale[0]
 
 
-def a3_bound(kind: ClassKind, b1: float, b2: float) -> float:
-    return fekete_szego(kind, b1, b2, mu=0.0)
-
-
 def _fragment(value: float, ok: bool, b1: float, b2: float) -> BoundFragment:
     if not math.isfinite(value):
         raise ValueError(f"the bounds overflow a float at B1 = {b1:g}, B2 = {b2:g}")
@@ -155,5 +151,5 @@ def full_report(spec: PhiSpec, kind: ClassKind) -> BoundReport:
     t31 = t31_bound(kind, b1, b2)
     return BoundReport(
         kind=kind, b1=b1, b2=b2, a2_bound=a2_bound(kind, b1),
-        a3_bound=a3_bound(kind, b1, b2), t22=t22, t31=t31,
+        a3_bound=fekete_szego(kind, b1, b2, 0.0), t22=t22, t31=t31,
         notes=tuple(_hypothesis_notes(kind, b1, b2, t22, t31)))

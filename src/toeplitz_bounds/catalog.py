@@ -23,7 +23,6 @@ PARAMS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(("cardioid", "sine", "lune", "parabolic", "limacon", "nephroid"), ()),
     "custom": ("custom",),
 }
-KINDS = tuple(PARAMS)
 
 
 class _PhiFields(NamedTuple):
@@ -37,7 +36,7 @@ class _PhiFields(NamedTuple):
 class PhiSpec(_PhiFields):
     """A target function selection with its parameters.
 
-    kind:   one of KINDS.
+    kind:   a key of PARAMS.
     A, B:   janowski parameters (-1 <= B < A <= 1).
     alpha:  parameter of order-alpha / exp kinds, in [0, 1).
     custom: leading coefficients (B1, B2, ...) for kind "custom", real floats.
@@ -46,7 +45,7 @@ class PhiSpec(_PhiFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, *args, **kwargs):
-        if kind not in KINDS:
+        if kind not in PARAMS:
             raise ValueError(f"unknown phi kind {kind!r}")
         spec = super().__new__(cls, kind, *args, **kwargs)
         cs = tuple(map(complex, spec.custom))
@@ -79,13 +78,6 @@ def alpha_exponential(alpha: float) -> PhiSpec:
 def custom(*coeffs: float) -> PhiSpec:
     return PhiSpec("custom", custom=coeffs)
 
-
-CARDIOID = PhiSpec("cardioid")
-SINE = PhiSpec("sine")
-LUNE = PhiSpec("lune")
-PARABOLIC = PhiSpec("parabolic")
-LIMACON = PhiSpec("limacon")
-NEPHROID = PhiSpec("nephroid")
 
 # The golden-table rows, label -> spec: the half-plane map (1+z)/(1-z),
 # the exponential map at alpha = 0 and every kind without parameters.

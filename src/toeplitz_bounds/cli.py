@@ -264,9 +264,8 @@ COMMANDS = {
         KIND, ORDER,
         ("--samples", {"type": int, "default": OracleConfig().samples},
          lambda n: n >= 1, "--samples must be at least 1"),
-        ("--seed", {"type": int, "default": None,
-                    "help": f"default from ${oracle.SEED_ENV} or 7"},
-         lambda n: n is None or n >= 0, "--seed must be non-negative"),
+        ("--seed", {"type": int, "default": OracleConfig().seed},
+         lambda n: n >= 0, "--seed must be non-negative"),
         ("--polish-steps", {"type": int, "default": OracleConfig().polish_steps},
          lambda n: n >= 0, "--polish-steps must be non-negative"),
         ("--tol", {"type": float, "default": 1e-3},

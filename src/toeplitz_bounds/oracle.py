@@ -21,13 +21,11 @@ it; the other subcommands start at interpreter-plus-stdlib cost.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from . import _kernels
 from .bounds import ClassKind, check_domain
 
-SEED_ENV = "TOEPLITZ_BOUNDS_SEED"
 SHARDS = 8  # independent sample streams per call
 TOP_CANDIDATES = 16  # best draws per functional, thinned by _distinct before the polish
 BASIN = 2.0 ** -7  # in max(|dw1|, |dw2|): a start this close to a better one is dropped
@@ -40,15 +38,6 @@ DISTINGUISHED = (
 )
 
 
-def default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 7
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{SEED_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
 class SchwarzPoint(NamedTuple):
     """First two Taylor coefficients of a Schwarz function."""
 
@@ -58,11 +47,8 @@ class SchwarzPoint(NamedTuple):
 
 class OracleConfig(NamedTuple):
     samples: int = 200_000
-    seed: int | None = None
+    seed: int = 7
     polish_steps: int = 40
-
-    def resolved_seed(self) -> int:
-        return default_seed() if self.seed is None else self.seed
 
 
 class OracleResult(NamedTuple):
@@ -141,15 +127,17 @@ def maximize(kind: ClassKind, b1: float, b2: float,
         if name not in _kernels.FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
     check_domain(b1, b2, mu)
-    if config.samples < 1:
-        raise ValueError("sample budget must be at least 1")
+    for field, low in (("samples", 1), ("seed", 0), ("polish_steps", 0)):
+        n = getattr(config, field)  # a bool is an int, but not a count
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+            raise ValueError(f"OracleConfig.{field} must be an integer >= {low}, got {n!r}")
+    config = OracleConfig(*map(int, config))  # a numpy integer would reach the result
 
-    seed = config.resolved_seed()
     base, extra = divmod(config.samples, SHARDS)
 
     tops = []  # per shard: (values, w1, w2) of each functional's best draws, a row each
     for shard in range(min(SHARDS, config.samples)):
-        w1, w2 = _sample_shard(seed, shard, base + (shard < extra))
+        w1, w2 = _sample_shard(config.seed, shard, base + (shard < extra))
         a2, a3 = _kernels.a2a3(kind, b1, b2, w1, w2)
         vals = [_kernels.eval_batch(name, mu, a2, a3) for name in names]
         keep = min(TOP_CANDIDATES, len(w1))
@@ -161,6 +149,6 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     _, rows = _kernels.polish(kind, b1, b2, names, mu, w1, w2, config.polish_steps)
     results = tuple(OracleResult(
         functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
-        samples=config.samples + len(DISTINGUISHED), seed=seed,
+        samples=config.samples + len(DISTINGUISHED), seed=config.seed,
         polish_steps=config.polish_steps) for name, (sup, p1, p2) in zip(names, rows))
     return results[0] if isinstance(functional, str) else results

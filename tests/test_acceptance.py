@@ -82,7 +82,7 @@ def test_criterion_1_golden_table():
 
 def test_criterion_2_hypothesis_detection():
     with verdict(2, "hypothesis detection"):
-        b1, b2 = catalog.b_coeffs(catalog.PARABOLIC)
+        b1, b2 = catalog.b_coeffs(catalog.TABLE["parabolic"])
         frag = t31_bound(CV, b1, b2)
         assert not frag.hypothesis_ok
         assert b2 > 2 * b1 * b1 - b1

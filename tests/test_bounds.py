@@ -12,7 +12,6 @@ from toeplitz_bounds.bounds import (
     HYP_SLACK,
     ClassKind,
     a2_bound,
-    a3_bound,
     fekete_szego,
     full_report,
     t22_bound,
@@ -108,7 +107,8 @@ class TestCoefficientBounds:
 
     def test_a3_is_fs_at_zero(self):
         for kind in (ST, CV):
-            assert a3_bound(kind, 1.2, -0.4) == fekete_szego(kind, 1.2, -0.4, 0.0)
+            rep = full_report(catalog.custom(1.2, -0.4), kind)
+            assert rep.a3_bound == fekete_szego(kind, 1.2, -0.4, 0.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -116,7 +116,7 @@ NAN, INF = float("nan"), float("inf")
 FORMULAS = {
     "fekete_szego": lambda kind, b1, b2: fekete_szego(kind, b1, b2, 0.5),
     "a2_bound": lambda kind, b1, b2: a2_bound(kind, b1),
-    "a3_bound": a3_bound,
+    "a3_bound": lambda kind, b1, b2: fekete_szego(kind, b1, b2, 0.0),
     "t22_bound": t22_bound,
     "t31_bound": t31_bound,
 }
@@ -190,11 +190,11 @@ class TestT22:
     def test_assembled_from_coefficient_bounds(self, b1, b2):
         frag = t22_bound(ST, b1, b2)
         if frag.hypothesis_ok:
-            expected = a3_bound(ST, b1, b2) ** 2 + a2_bound(ST, b1) ** 2
+            expected = fekete_szego(ST, b1, b2, 0.0) ** 2 + a2_bound(ST, b1) ** 2
             assert frag.value == pytest.approx(expected, rel=1e-10)
         frag = t22_bound(CV, b1, b2)
         if frag.hypothesis_ok:
-            expected = a3_bound(CV, b1, b2) ** 2 + a2_bound(CV, b1) ** 2
+            expected = fekete_szego(CV, b1, b2, 0.0) ** 2 + a2_bound(CV, b1) ** 2
             assert frag.value == pytest.approx(expected, rel=1e-10)
 
 
@@ -210,7 +210,7 @@ class TestT31:
         assert frag.hypothesis_ok
 
     def test_convex_parabolic_hypothesis_fails(self):
-        b1, b2 = catalog.b_coeffs(catalog.PARABOLIC)
+        b1, b2 = catalog.b_coeffs(catalog.TABLE["parabolic"])
         assert not t31_bound(CV, b1, b2).hypothesis_ok
 
     @given(b1s, b2s)
@@ -223,7 +223,7 @@ class TestT31:
             expected = (
                 1
                 + 2 * a2_bound(kind, b1) ** 2
-                + a3_bound(kind, b1, b2) * fekete_szego(kind, b1, b2, mu=2.0)
+                + fekete_szego(kind, b1, b2, 0.0) * fekete_szego(kind, b1, b2, mu=2.0)
             )
             assert frag.value == pytest.approx(expected, rel=1e-10)
 
@@ -262,7 +262,7 @@ class TestHypothesisTranslations:
 
 class TestFullReport:
     def test_sine_starlike(self):
-        rep = full_report(catalog.SINE, ST)
+        rep = full_report(catalog.TABLE["sine"], ST)
         assert rep.a2_bound == pytest.approx(1.0)
         assert rep.a3_bound == pytest.approx(0.5)
         assert rep.t22.value == pytest.approx(5 / 4)
@@ -270,12 +270,12 @@ class TestFullReport:
         assert rep.notes == ()
 
     def test_limacon_starlike(self):
-        rep = full_report(catalog.LIMACON, ST)
+        rep = full_report(catalog.TABLE["limacon"], ST)
         assert rep.t22.value == pytest.approx(57 / 16)
         assert rep.t31.value == pytest.approx(135 / 16)
 
     def test_nephroid_convex(self):
-        rep = full_report(catalog.NEPHROID, CV)
+        rep = full_report(catalog.TABLE["nephroid"], CV)
         assert rep.t22.value == pytest.approx(5 / 18)
         assert rep.t31.value == pytest.approx(14 / 9)
 
@@ -316,7 +316,7 @@ class TestKindAttributes:
         assert {ST: 0}[ST] == 0 and calls == [ST, ST]  # the counter sees dict lookups
         calls.clear()
         cfg = oracle.OracleConfig(samples=64, seed=1, polish_steps=2)
-        for spec in (catalog.CARDIOID, catalog.custom(1.0, -0.9)):
+        for spec in (catalog.TABLE["cardioid"], catalog.custom(1.0, -0.9)):
             for kind in ClassKind:
                 rep = full_report(spec, kind)
                 fekete_szego(kind, rep.b1, rep.b2, 0.7)
@@ -383,7 +383,7 @@ class TestOneExpansion:
     """full_report expands phi once, in b_coeffs, and keeps every check."""
 
     @pytest.mark.parametrize("spec", [
-        catalog.CARDIOID, catalog.janowski(0.5, -0.3), catalog.alpha_exponential(0.2),
+        catalog.TABLE["cardioid"], catalog.janowski(0.5, -0.3), catalog.alpha_exponential(0.2),
         catalog.custom(1.0, -0.9),
     ])
     @pytest.mark.parametrize("kind", [ST, CV])

@@ -1,4 +1,5 @@
-"""Every public function, class and method in src/ has a production caller.
+"""Every public function, class, method and module constant in src/ has a
+production caller.
 
 Code that only the tests run is deleted, or moved into the tests as a
 reference.  A definition counts as called when its name is reachable from
@@ -11,6 +12,8 @@ a root:
 - the ``[project.scripts]`` entry point, ``cli.main``.
 
 A name reached this way makes the names used in its body reachable in turn.
+A module constant's value runs on import, so what it uses is reached; the
+constant itself must be read.
 Names are matched as identifiers, not resolved to their module, so the
 guard errs toward "called": what it flags has no caller.
 """
@@ -73,6 +76,11 @@ def uncalled(sources: dict[str, str], used: set[str]) -> set[str]:
                          for m in methods]
             elif isinstance(node, ast.FunctionDef):
                 defs.append((f"{module}.{node.name}", node.name, identifiers([node])))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{module}.{t.id}", t.id, set()) for t in targets
+                         if isinstance(t, ast.Name)]
+                used |= identifiers([node.value])
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 used |= identifiers([node])
     reached = 0
@@ -93,13 +101,17 @@ def test_every_public_name_has_a_caller():
 
 
 PROBE = '''
+PROBE_UNREAD = 1
+PROBE_SCALE = 2
+
+
 class Probe:
     def probe_method(self):
         return probe_helper()
 
 
 def probe_function(probe):
-    return probe.probe_method()
+    return probe.probe_method() * PROBE_SCALE
 
 
 def probe_helper():
@@ -111,9 +123,10 @@ def test_guard_flags_a_name_without_caller():
     sources = {**src_sources(), "probe": PROBE}
     assert uncalled(sources, all_roots()) == {
         "probe.Probe", "probe.Probe.probe_method", "probe.probe_function",
-        "probe.probe_helper"}
+        "probe.probe_helper", "probe.PROBE_UNREAD", "probe.PROBE_SCALE"}
     # a caller reaches what its body uses, and that in turn
-    assert uncalled(sources, all_roots() | {"probe_function"}) == {"probe.Probe"}
+    assert uncalled(sources, all_roots() | {"probe_function"}) == {
+        "probe.Probe", "probe.PROBE_UNREAD"}
 
 
 def test_caller_scan_sees_the_known_callers():

@@ -50,23 +50,23 @@ class TestPhiSeries:
         assert close(s, from_coeffs((1, 2, 2, 2), 3))
 
     def test_cardioid(self):
-        s = phi_series(catalog.CARDIOID, order=2)
+        s = phi_series(catalog.TABLE["cardioid"], order=2)
         assert close(s, from_coeffs((1, 4 / 3, 2 / 3), 2))
 
     def test_sine(self):
-        s = phi_series(catalog.SINE, order=3)
+        s = phi_series(catalog.TABLE["sine"], order=3)
         assert close(s, from_coeffs((1, 1, 0, -1 / 6), 3))
 
     def test_lune(self):
-        s = phi_series(catalog.LUNE, order=4)
+        s = phi_series(catalog.TABLE["lune"], order=4)
         assert close(s, from_coeffs((1, 1, 0.5, 0, -0.125), 4))
 
     def test_nephroid(self):
-        s = phi_series(catalog.NEPHROID, order=3)
+        s = phi_series(catalog.TABLE["nephroid"], order=3)
         assert close(s, from_coeffs((1, 1, 0, -1 / 3), 3))
 
     def test_parabolic_third_coefficient(self):
-        s = phi_series(catalog.PARABOLIC, order=3)
+        s = phi_series(catalog.TABLE["parabolic"], order=3)
         assert abs(s[3] - 184 / (45 * math.pi**2)) <= 1e-12
 
     @pytest.mark.parametrize("spec,message", [
@@ -82,8 +82,8 @@ class TestPhiSeries:
         assert violation(spec) == message
 
     def test_default_order(self):
-        assert phi_series(catalog.SINE) == phi_series(catalog.SINE, 10)
-        assert len(phi_series(catalog.SINE)) == 11
+        assert phi_series(catalog.TABLE["sine"]) == phi_series(catalog.TABLE["sine"], 10)
+        assert len(phi_series(catalog.TABLE["sine"])) == 11
 
     def test_integer_parameters_give_floats(self):
         for spec in (PhiSpec("janowski", A=1, B=-1), PhiSpec("order-alpha", alpha=0),
@@ -126,7 +126,7 @@ class TestCustomConstructor:
         with pytest.raises(ValueError, match="^custom coefficients must be real$"):
             PhiSpec._make(("custom", None, None, None, (2j,)))
         with pytest.raises(ValueError, match="^unknown phi kind 'cusp'$"):
-            catalog.CARDIOID._replace(kind="cusp")
+            catalog.TABLE["cardioid"]._replace(kind="cusp")
         spec = catalog.custom(1.0, 0.5)._replace(custom=(2, 1e-12j, -0.0))
         assert type(spec) is PhiSpec
         assert repr(spec.custom) == "(2.0, 0.0, -0.0)"
@@ -139,13 +139,13 @@ class TestElementwiseMaps:
     they were built before a series became a tuple."""
 
     def test_lune_is_z_plus_root(self):
-        got = phi_series(catalog.LUNE, 7)
+        got = phi_series(catalog.TABLE["lune"], 7)
         assert repr(got) == "(1.0, 1.0, 0.5, 0.0, -0.125, 0.0, 0.0625, 0.0)"
         root = series.sqrt1p(from_coeffs((1, 0, 1), 7))
         assert got == tuple(x + y for x, y in zip(z(7), root))
 
     def test_parabolic_is_one_plus_scaled_tail(self):
-        got = phi_series(catalog.PARABOLIC, 4)
+        got = phi_series(catalog.TABLE["parabolic"], 4)
         assert repr(got) == ("(1.0, 0.8105694691387022, 0.5403796460924681, "
                              "0.41429106200422555, 0.33966720611526563)")
         assert got[0] == 1
@@ -154,7 +154,7 @@ class TestElementwiseMaps:
         assert abs(got[2] - 8 / math.pi**2 * 2 / 3) <= 1e-16
 
     def test_sine_repr(self):
-        assert repr(phi_series(catalog.SINE, 5)) == (
+        assert repr(phi_series(catalog.TABLE["sine"], 5)) == (
             "(1.0, 1.0, 0.0, -0.16666666666666666, 0.0, 0.008333333333333333)")
 
 
@@ -163,12 +163,12 @@ class TestBCoeffs:
         assert b_coeffs(catalog.alpha_exponential(0.0)) == pytest.approx((1.0, 0.5))
 
     def test_limacon(self):
-        b1, b2 = b_coeffs(catalog.LIMACON)
+        b1, b2 = b_coeffs(catalog.TABLE["limacon"])
         assert b1 == pytest.approx(math.sqrt(2), abs=1e-14)
         assert b2 == pytest.approx(0.5, abs=1e-14)
 
     def test_parabolic(self):
-        b1, b2 = b_coeffs(catalog.PARABOLIC)
+        b1, b2 = b_coeffs(catalog.TABLE["parabolic"])
         assert b1 == pytest.approx(8 / math.pi**2, abs=1e-13)
         assert b2 == pytest.approx(16 / (3 * math.pi**2), abs=1e-13)
 
@@ -176,12 +176,12 @@ class TestBCoeffs:
         catalog.janowski(0.75, -0.25),
         catalog.order_alpha(0.3),
         catalog.alpha_exponential(0.6),
-        catalog.CARDIOID,
-        catalog.SINE,
-        catalog.LUNE,
-        catalog.PARABOLIC,
-        catalog.LIMACON,
-        catalog.NEPHROID,
+        catalog.TABLE["cardioid"],
+        catalog.TABLE["sine"],
+        catalog.TABLE["lune"],
+        catalog.TABLE["parabolic"],
+        catalog.TABLE["limacon"],
+        catalog.TABLE["nephroid"],
     ])
     def test_expansion_matches_closed_form(self, spec):
         b1, b2 = b_coeffs(spec)
@@ -391,7 +391,7 @@ class TestClosedForms:
     @example(2)
     @example(250)
     def test_parabolic_shift_matches_product_by_z(self, order):
-        got = phi_series(catalog.PARABOLIC, order)
+        got = phi_series(catalog.TABLE["parabolic"], order)
         assert repr(got) == repr(ref_parabolic(order))
 
 

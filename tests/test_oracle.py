@@ -156,7 +156,7 @@ class TestMaximize:
         assert res.sup_estimate == pytest.approx(13.0, abs=1e-3)
 
     def test_parabolic_convex_t22(self):
-        b1, b2 = catalog.b_coeffs(catalog.PARABOLIC)
+        b1, b2 = catalog.b_coeffs(catalog.TABLE["parabolic"])
         res = maximize(CV, b1, b2, "t22", FAST)
         assert res.sup_estimate == pytest.approx(0.204083, abs=1e-3)
 
@@ -206,8 +206,34 @@ class TestMaximize:
         assert maximize(ST, 2, 2, "t22", cfg).samples == samples + 8
 
     def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match="^OracleConfig.samples must be an integer >= 1"):
             maximize(ST, 1, 0, "t22", OracleConfig(samples=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", -1), ("samples", 10.5), ("samples", 1000.0), ("samples", True),
+        ("samples", "1000"), ("seed", -1), ("seed", 1.0), ("seed", None), ("seed", False),
+        ("seed", np.int64(-1)), ("polish_steps", -3), ("polish_steps", 2.5),
+        ("polish_steps", None),
+    ])
+    def test_rejects_a_bad_config_field_before_sampling(self, monkeypatch, field, value):
+        # unchecked, polish_steps=-3 ran no polish and was reported back, seed=-1
+        # raised numpy's bare message and samples=10.5 a TypeError
+        def forbidden(*args):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(oracle, "_sample_shard", forbidden)
+        cfg = OracleConfig(samples=1000, seed=1, polish_steps=3)._replace(**{field: value})
+        with pytest.raises(ValueError) as err:
+            maximize(ST, 1.0, 0.5, "t22", cfg)
+        low = 1 if field == "samples" else 0
+        assert str(err.value) == f"OracleConfig.{field} must be an integer >= {low}, got {value!r}"
+
+    def test_accepts_numpy_integers_and_each_fields_least_value(self):
+        cfg = OracleConfig(samples=1, seed=0, polish_steps=0)
+        res = maximize(ST, 1.0, 0.5, "t22", OracleConfig(*map(np.int64, cfg)))
+        assert res == maximize(ST, 1.0, 0.5, "t22", cfg)
+        # echoed as Python ints, which render_json writes as numbers, not strings
+        assert {type(n) for n in (res.samples, res.seed, res.polish_steps)} == {int}
 
     def test_rejects_unknown_functional(self):
         with pytest.raises(ValueError):
@@ -523,10 +549,8 @@ def test_distinguished_points_are_in_the_region():
         assert in_region(w1, w2, tol=0.0)
 
 
-def test_documented_defaults(monkeypatch):
-    monkeypatch.delenv(oracle.SEED_ENV, raising=False)
-    assert oracle.default_seed() == 7
-    assert OracleConfig().resolved_seed() == 7
+def test_documented_defaults():
+    assert OracleConfig().seed == 7
     assert OracleConfig().samples == 200_000
     assert OracleConfig().polish_steps == 40
     assert (oracle.SHARDS, oracle.TOP_CANDIDATES, oracle.BASIN) == (8, 16, 2**-7)
@@ -652,6 +676,29 @@ class TestInvariance:
         conj, _ = value_and_scale(kind, b1, b2, name, mu,
                                   w1.conjugate(), w2.conjugate())
         assert abs(conj - base) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(schwarz_points(), min_size=1, max_size=40), st.sampled_from([ST, CV]),
+           st.sampled_from(["t22", "t31", "fs"]),
+           st.floats(0.01, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_sign_and_conjugation_are_bitwise(self, points, kind, name, b1, b2, mu):
+        # w1 enters as a2 = c*w1 and w1*w1, and a2 only as a2*a2, so w1 -> -w1
+        # moves no bit; B1, B2 and mu are real, so conjugation conjugates each
+        # step exactly and leaves every modulus.  The ties between the
+        # conjugate witnesses (+-i, 0) rest on this.
+        w1, w2 = np.array(points).T.copy()  # contiguous rows, like their images
+
+        def images(w1, w2):
+            return [(w1, w2), (-w1, w2), (w1.conjugate(), w2.conjugate()),
+                    (-w1.conjugate(), w2.conjugate())]
+
+        arrays = {_kernels.eval_batch(name, mu, *_kernels.a2a3(kind, b1, b2, *p)).tobytes()
+                  for p in images(w1, w2)}
+        assert len(arrays) == 1
+        for p1, p2 in points:
+            scalars = {_kernels.functional(name, *_kernels.a2a3(kind, b1, b2, *p), mu).hex()
+                       for p in images(p1, p2)}
+            assert len(scalars) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(schwarz_points(), st.sampled_from([ST, CV]), st.floats(0.0, 2 * cmath.pi),

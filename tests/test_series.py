@@ -294,7 +294,7 @@ class TestTupleContract:
         assert all_complex(series.sqrt1p(unit_constant(a)))
 
     @settings(deadline=None)
-    @given(st.sampled_from(catalog.KINDS), st.integers(2, 40),
+    @given(st.sampled_from(tuple(catalog.PARAMS)), st.integers(2, 40),
            st.floats(-1, 1), st.floats(0, 1, exclude_max=True))
     def test_phi_series_every_kind(self, kind, order, a, alpha):
         spec = {"janowski": catalog.janowski(a, -1.0),
