@@ -61,8 +61,15 @@ def render_json(obj: Any, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+SPEC_FLAGS = ("A", "B", "alpha", "b1", "b2", "b3")  # --class's parameters, as --NAME
+
+
 def spec_from_args(args) -> PhiSpec:
     kind = args.phi_class
+    takes = ("b1", "b2", "b3") if kind == "custom" else catalog.PARAMS.get(kind, ())
+    for name in SPEC_FLAGS:
+        if name not in takes and getattr(args, name) is not None:
+            raise ValueError(f"--class {kind} takes no --{name}")
     if kind == "custom":
         coeffs = [args.b1, args.b2, args.b3]
         while coeffs and coeffs[-1] is None:
@@ -143,7 +150,7 @@ def _extremal(spec: PhiSpec, kind: ClassKind,
     values = {"t22_abs": ef.t22_value, "t31_abs": ef.t31_value}
     if not all(map(cmath.isfinite, (*ef.coeffs, *values.values()))):
         raise ValueError(f"the extremal function overflows a float at order {order}")
-    values["residual"] = residual(ef, spec)
+    values["residual"] = residual(ef)
     return ef, values
 
 
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command != "table":
             p.add_argument("--class", dest="phi_class", required=True,
                            choices=list(dict.fromkeys([*catalog.PARAMS, *catalog.TABLE])))
-            for name in ("A", "B", "alpha", "b1", "b2", "b3"):
+            for name in SPEC_FLAGS:
                 p.add_argument(f"--{name}", type=float)
         for name, kwargs, *_ in flags:
             p.add_argument(name, **kwargs)

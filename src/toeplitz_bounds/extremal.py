@@ -23,6 +23,7 @@ from .catalog import PhiSpec, phi_series, validate
 class ExtremalFunction(NamedTuple):
     kind: ClassKind
     coeffs: tuple[complex, ...]  # (a0, a1, a2, ...) with a0 = 0, a1 = 1
+    phi: tuple[float, ...]  # phi's c_0 .. c_order: the equation the coeffs solve
 
     @property
     def order(self) -> int:
@@ -47,28 +48,14 @@ class ExtremalFunction(NamedTuple):
         return _kernels.functional("t31", self.a2, self.a3)
 
 
-_last_phi: tuple = (None, 0, ())  # (spec, order, c); holding spec keeps its id unique
-
-
-def _phi_coeffs(spec: PhiSpec, order: int) -> tuple[float, ...]:
-    """phi's c_0 .. c_order; the last result is reused for the same spec object
-    and order, not an == one: custom(1, -0.0) == custom(1, 0.0), but their zeros differ."""
-    global _last_phi
-    last_spec, last_order, c = _last_phi  # one read, so a racing call cannot mix slots
-    if last_spec is spec and last_order == order:
-        return c
-    c = phi_series(spec, order)
-    _last_phi = (spec, order, c)
-    return c
-
-
 def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
     """Starlike extremal: a_n = i^(n-1) alpha_n with
     alpha_n = (1/(n-1)) * sum_{k=1}^{n-1} alpha_k c_{n-k}."""
     if order < 3:
         raise ValueError("order must be at least 3")
     validate(spec)
-    rc = _phi_coeffs(spec, order)[::-1]  # rc[order - j] = c_j
+    c = phi_series(spec, order)
+    rc = c[::-1]  # rc[order - j] = c_j
     alpha, a = [1.0], [0j, 1 + 0j]  # alpha_1, alpha_2, ...
     for n in range(2, order + 1):
         acc = 0.0
@@ -78,26 +65,25 @@ def k_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
         # i^(n-1) alpha_n as the complex recursion rounded it: -acc, but +0.0 at 0.0
         x = (acc if (n - 1) % 4 < 2 else 0.0 - acc) / (n - 1)
         a.append(complex(0.0, x) if n % 2 == 0 else complex(x, 0.0))
-    return ExtremalFunction(ClassKind.STARLIKE, tuple(a))
+    return ExtremalFunction(ClassKind.STARLIKE, tuple(a), c)
 
 
 def h_phi(spec: PhiSpec, order: int = 10) -> ExtremalFunction:
     """Convex extremal by Alexander's relation H' = K/z: a_n(H) = a_n(K)/n."""
     ef = k_phi(spec, order)
     a = (ef.coeffs[0],) + tuple(c / n for n, c in enumerate(ef.coeffs[1:], 1))
-    return ExtremalFunction(ClassKind.CONVEX, a)
+    return ExtremalFunction(ClassKind.CONVEX, a, ef.phi)
 
 
-def residual(ef: ExtremalFunction, spec: PhiSpec) -> float:
-    """Max coefficient magnitude of the defining-equation defect.
+def residual(ef: ExtremalFunction) -> float:
+    """Max coefficient magnitude of the defining-equation defect for ``ef.phi``.
 
     Starlike: z K' - K * phi(iz), checked at every index up to the order.
     Convex: z H'' - H' * (phi(iz) - 1), checked up to order-1 because the
     last coefficient of H' is not determined at this truncation.  Each a_n/i^(n-1)
     splits exactly into parts p and q; q is 0 unless a_n left the axis i^(n-1).
     """
-    order = ef.order
-    c = _phi_coeffs(spec, order)
+    order, c = ef.order, ef.phi
     parts = [(a.real, a.imag, -a.real, -a.imag) for a in ef.coeffs]
     p = [x[(n - 1) % 4] for n, x in enumerate(parts)]
     q = [x[n % 4] for n, x in enumerate(parts)]

@@ -108,19 +108,16 @@ def _distinct(w1, w2):
     return [np.take_along_axis(w, order, axis=1) for w in (w1, w2)]
 
 
-def maximize(kind: ClassKind, b1: float, b2: float,
-             functional: str | tuple[str, ...],
+def maximize(kind: ClassKind, b1: float, b2: float, names: tuple[str, ...],
              config: OracleConfig = OracleConfig(),
-             mu: float = 0.0) -> OracleResult | tuple[OracleResult, ...]:
-    """Deterministic maximum of one functional, or of several, over the region.
+             mu: float = 0.0) -> tuple[OracleResult, ...]:
+    """Deterministic maximum of each named functional over the region.
 
-    ``functional`` is one name or a tuple of names.  Each shard is drawn
-    once and every named functional is evaluated on its points, so a tuple
-    returns, in order, the results that separate calls return, bit for bit.
+    Each shard is drawn once and every named functional is evaluated on its
+    points, so the results are, in order, those of one call per name, bit for bit.
     """
     import numpy as np
 
-    names = (functional,) if isinstance(functional, str) else tuple(functional)
     if not names:
         raise ValueError("no functional to maximize")
     for name in names:
@@ -147,8 +144,7 @@ def maximize(kind: ClassKind, b1: float, b2: float,
     best = np.argsort(-vals, axis=1, kind="stable")[:, :TOP_CANDIDATES]
     w1, w2 = _distinct(*(np.take_along_axis(w, best, axis=1) for w in (w1, w2)))
     _, rows = _kernels.polish(kind, b1, b2, names, mu, w1, w2, config.polish_steps)
-    results = tuple(OracleResult(
+    return tuple(OracleResult(
         functional=name, mu=mu, sup_estimate=sup, argmax=SchwarzPoint(p1, p2),
         samples=config.samples + len(DISTINGUISHED), seed=config.seed,
         polish_steps=config.polish_steps) for name, (sup, p1, p2) in zip(names, rows))
-    return results[0] if isinstance(functional, str) else results

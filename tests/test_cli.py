@@ -242,7 +242,8 @@ class TestVerifyVerdict:
         frag = BoundFragment(bound, True)
         report = report._replace(t22=frag, t31=frag)
         # max |a_n| = 1, so the residual is measured against 1e-10 itself
-        ef = ExtremalFunction(ClassKind.STARLIKE, (0j, 1 + 0j, 0.5j, -0.25 + 0j))
+        ef = ExtremalFunction(ClassKind.STARLIKE, (0j, 1 + 0j, 0.5j, -0.25 + 0j),
+                              (1.0, 0.5, 0.0, 0.0))
         values = {"t22_abs": bound if ext is None else ext,
                   "t31_abs": bound, "residual": res}
         configs = []
@@ -344,6 +345,19 @@ def test_bad_input_is_one_error_line(capsys, argv):
     err = one_error_line(capsys, argv)
     if "--tol" in argv:
         assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--class", "sine", "--b1", "3"], "--class sine takes no --b1"),
+    (["bounds", "--class", "janowski", "--A", ".5", "--B", "0", "--alpha", ".2"],
+     "--class janowski takes no --alpha"),
+    (["extremal", "--class", "custom", "--b1", "1", "--A", ".5"], "--class custom takes no --A"),
+    (["fs", "--class", "classical", "--B", "-1", "--mu", "0"], "--class classical takes no --B"),
+    (["verify", "--class", "exp", "--alpha", "0", "--b3", "0"], "--class exp takes no --b3"),
+    (["bounds", "--class", "order-alpha", "--b2", "1"], "--class order-alpha takes no --b2"),
+], ids=["table-kind", "janowski-alpha", "custom-A", "table-label", "exp-b3", "before-missing"])
+def test_a_parameter_the_class_does_not_take_is_an_error(capsys, argv, message):
+    assert one_error_line(capsys, argv) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from toeplitz_bounds import catalog, cli, extremal, series
 from toeplitz_bounds.bounds import ClassKind, t22_bound, t31_bound
-from toeplitz_bounds.extremal import ExtremalFunction, _phi_coeffs, h_phi, k_phi, residual
+from toeplitz_bounds.extremal import ExtremalFunction, h_phi, k_phi, residual
 
 from test_series import scatter_mul
 
@@ -42,7 +42,7 @@ def reference_k_phi(spec, order):
         for k in range(1, n):
             acc += a[k] * psi[n - k]
         a[n] = acc / (n - 1)
-    return ExtremalFunction(ST, tuple(a))
+    return ExtremalFunction(ST, tuple(a), catalog.phi_series(spec, order))
 
 
 def reference_residual(ef, spec):
@@ -108,8 +108,7 @@ class TestInitialCoefficients:
         # a1 too: 1 + 0j, not the int 1 (starlike) or the float 1.0 (convex)
         for ef in (k_phi(spec, 12), h_phi(spec, 12)):
             assert all(type(c) is complex for c in ef.coeffs)
-        c = _phi_coeffs(spec, 12)
-        assert type(c) is tuple and all(type(x) is float for x in c)
+            assert type(ef.phi) is tuple and all(type(x) is float for x in ef.phi)
 
 
 class TestSharpness:
@@ -141,30 +140,28 @@ class TestSharpness:
 class TestResidual:
     @pytest.mark.parametrize("label,spec", CATALOG)
     def test_defining_equation(self, label, spec):
-        assert residual(k_phi(spec, order=10), spec) <= 1e-12
-        assert residual(h_phi(spec, order=10), spec) <= 1e-12
+        assert residual(k_phi(spec, order=10)) <= 1e-12
+        assert residual(h_phi(spec, order=10)) <= 1e-12
 
     def test_sensitivity(self):
         spec = catalog.janowski(1, -1)
         ef = k_phi(spec, order=10)
         coeffs = list(ef.coeffs)
         coeffs[3] += 1e-3
-        bad = ExtremalFunction(ef.kind, tuple(coeffs))
-        assert residual(bad, spec) >= 1e-4
+        assert residual(ef._replace(coeffs=tuple(coeffs))) >= 1e-4
 
     def test_overflow_is_nan_not_zero(self):
         # a_4 overflows to nan-infj; max() alone would drop the nan defects
         spec = catalog.custom(1e150)
-        assert math.isnan(residual(k_phi(spec, 10), spec))
-        assert math.isnan(residual(h_phi(spec, 10), spec))
+        assert math.isnan(residual(k_phi(spec, 10)))
+        assert math.isnan(residual(h_phi(spec, 10)))
 
     def test_convex_sensitivity(self):
         spec = catalog.TABLE["sine"]
         ef = h_phi(spec, order=10)
         coeffs = list(ef.coeffs)
         coeffs[3] += 1e-3
-        bad = ExtremalFunction(ef.kind, tuple(coeffs))
-        assert residual(bad, spec) >= 1e-4
+        assert residual(ef._replace(coeffs=tuple(coeffs))) >= 1e-4
 
 
 class TestRotation:
@@ -173,17 +170,20 @@ class TestRotation:
         rot = series.from_coeffs((0, 1j), 50)
         want = series.compose(catalog.phi_series(spec, 50), rot)
         assert reference_psi(spec, 50) == want
-        c = _phi_coeffs(spec, 50)
+        c = k_phi(spec, 50).phi
         assert tuple(x * (1, 1j, -1, -1j)[k % 4] for k, x in enumerate(c)) == want
 
 
 class TestOnePsiPerOp:
-    """k_phi/h_phi and then residual on one spec object share one expansion
-    of phi; _phi_coeffs keeps only the last one, keyed by the spec's identity."""
+    """k_phi expands phi once and the witness carries that expansion, which
+    h_phi passes on and residual reads."""
 
-    @pytest.fixture(autouse=True)
-    def empty_slot(self, monkeypatch):
-        monkeypatch.setattr(extremal, "_last_phi", (None, 0, ()))
+    @pytest.mark.parametrize("order", [10, 100])
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec.kind)
+    def test_witness_carries_phi_series(self, spec, order):
+        ef = k_phi(spec, order)
+        assert repr(ef.phi) == repr(catalog.phi_series(spec, order))
+        assert h_phi(spec, order).phi == ef.phi
 
     @pytest.fixture
     def expansions(self, monkeypatch):
@@ -204,35 +204,34 @@ class TestOnePsiPerOp:
         assert expansions == [100]
         assert "residual" in capsys.readouterr().out
 
-    def test_reused_only_for_the_same_object_and_order(self, expansions):
-        spec = catalog.custom(1.0, -0.9, 0.3)
-        assert _phi_coeffs(spec, 10) is _phi_coeffs(spec, 10)
-        assert expansions == [10]
-        _phi_coeffs(spec, 11)
-        _phi_coeffs(catalog.PhiSpec(*spec), 11)  # equal to spec, but another object
-        assert expansions == [10, 11, 11]
-
-    def test_equal_spec_with_other_zeros_keeps_its_repr(self):
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_equal_specs_with_other_zeros_keep_their_repr(self, make):
+        # custom(1, -0.0) == custom(1, 0.0), but their expansions differ in a zero
         neg, pos = catalog.custom(1, -0.0), catalog.custom(1, 0.0)
         assert neg == pos and hash(neg) == hash(pos)
-        assert repr(_phi_coeffs(neg, 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
-        assert repr(_phi_coeffs(pos, 4)) == "(1.0, 1.0, 0.0, 0.0, 0.0)"
-        assert repr(_phi_coeffs(neg, 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
-
-    def test_a_freed_spec_cannot_lend_its_id(self):
-        # without the slot's reference the first spec is freed after the
-        # call, and the second one is likely built at the same address
-        assert repr(_phi_coeffs(catalog.custom(1, -0.0), 4)) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
-        assert repr(_phi_coeffs(catalog.custom(1, 0.0), 4)) == "(1.0, 1.0, 0.0, 0.0, 0.0)"
+        assert repr(make(neg, 4).phi) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
+        assert repr(make(pos, 4).phi) == "(1.0, 1.0, 0.0, 0.0, 0.0)"
+        assert repr(make(neg, 4).phi) == "(1.0, 1.0, -0.0, 0.0, 0.0)"
 
     @pytest.mark.parametrize("make", [k_phi, h_phi])
     def test_residual_still_checks_the_coefficients(self, make):
         ef = make(catalog.TABLE["parabolic"], 30)
         coeffs = list(ef.coeffs)
         coeffs[-2] += 1e-6
-        assert residual(ef, catalog.TABLE["parabolic"]) <= 1e-12
-        bent = ExtremalFunction(ef.kind, tuple(coeffs))
-        assert residual(bent, catalog.TABLE["parabolic"]) >= 1e-7
+        assert residual(ef) <= 1e-12
+        assert residual(ef._replace(coeffs=tuple(coeffs))) >= 1e-7
+
+    @pytest.mark.parametrize("make", [k_phi, h_phi])
+    def test_residual_checks_against_the_phi_it_is_handed(self, make):
+        ef = make(catalog.TABLE["parabolic"], 30)
+        other = catalog.phi_series(catalog.TABLE["lune"], 30)
+        assert residual(ef._replace(phi=other)) >= 1e-7
+
+    def test_a_phi_of_another_order_is_an_error(self):
+        ef = k_phi(catalog.TABLE["lune"], 10)
+        for other in (9, 11):
+            with pytest.raises(ValueError, match="order mismatch"):
+                residual(ef._replace(phi=catalog.phi_series(catalog.TABLE["lune"], other)))
 
 
 REAL = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
@@ -269,13 +268,14 @@ class TestRealArithmetic:
     @staticmethod
     def check(spec, order):
         built = (k_phi(spec, order), h_phi(spec, order))
-        refs = (reference_k_phi(spec, order), ExtremalFunction(CV, convex_recursion(spec, order)))
+        star = reference_k_phi(spec, order)
+        refs = (star, ExtremalFunction(CV, convex_recursion(spec, order), star.phi))
         for ef, ref in zip(built, refs):
             # repr tells apart the signed zeros that == would merge: every
             # a_n, zero parts included, is the complex recursion's
             assert list(map(repr, ef.coeffs)) == list(map(repr, ref.coeffs))
-            assert repr(residual(ef, spec)) == repr(reference_residual(ref, spec))
-            assert repr(residual(ref, spec)) == repr(reference_residual(ref, spec))
+            assert repr(residual(ef)) == repr(reference_residual(ref, spec))
+            assert repr(residual(ref)) == repr(reference_residual(ref, spec))
 
     @settings(deadline=None, max_examples=60)
     @given(real_specs(), st.integers(3, 120))
@@ -310,8 +310,8 @@ class TestRealArithmetic:
         for n in (2, 7, 12):
             coeffs = list(ef.coeffs)
             coeffs[n] += 1e-6 * (1, 1j, -1, -1j)[(n - 1 + turn) % 4]
-            bad = ExtremalFunction(ef.kind, tuple(coeffs))
-            assert residual(bad, spec) == reference_residual(bad, spec) >= 1e-7
+            bad = ef._replace(coeffs=tuple(coeffs))
+            assert residual(bad) == reference_residual(bad, spec) >= 1e-7
 
 
 class TestAlexanderRelation:
@@ -329,7 +329,7 @@ class TestDeepOrder:
     def test_sine_order_200(self, make):
         # past order 170 the sine coefficients need 171! and beyond
         ef = make(catalog.TABLE["sine"], order=200)
-        assert residual(ef, catalog.TABLE["sine"]) <= 1e-10
+        assert residual(ef) <= 1e-10
         b1, b2 = catalog.b_coeffs(catalog.TABLE["sine"])
         assert abs(ef.t22_value - t22_bound(ef.kind, b1, b2).value) <= 1e-9
         assert abs(ef.t31_value - t31_bound(ef.kind, b1, b2).value) <= 1e-9

@@ -127,7 +127,7 @@ class TestFunctionalValues:
         assert _kernels.FUNCTIONALS == ("t22", "t31", "fs")
         monkeypatch.setattr(_kernels, "FUNCTIONALS", ("t22", "t31"))
         with pytest.raises(ValueError, match="^unknown functional 'fs'$"):
-            maximize(ST, 1.0, 0.5, "fs", OracleConfig(samples=0))
+            maximize(ST, 1.0, 0.5, ("fs",), OracleConfig(samples=0))
 
 
 class TestCrosscheck:
@@ -152,26 +152,26 @@ class TestCrosscheck:
 
 class TestMaximize:
     def test_classical_t22(self):
-        res = maximize(ST, 2, 2, "t22", FAST)
+        res = maximize(ST, 2, 2, ("t22",), FAST)[0]
         assert res.sup_estimate == pytest.approx(13.0, abs=1e-3)
 
     def test_parabolic_convex_t22(self):
         b1, b2 = catalog.b_coeffs(catalog.TABLE["parabolic"])
-        res = maximize(CV, b1, b2, "t22", FAST)
+        res = maximize(CV, b1, b2, ("t22",), FAST)[0]
         assert res.sup_estimate == pytest.approx(0.204083, abs=1e-3)
 
     def test_open_case_estimate(self):
-        res = maximize(ST, 1, -0.9, "t22", FAST)
+        res = maximize(ST, 1, -0.9, ("t22",), FAST)[0]
         # the witness point value is always attainable, bound or not
         assert res.sup_estimate >= 1.0025 - 1e-12
 
     def test_determinism(self):
-        a = maximize(ST, 1.1, 0.3, "t31", FAST)
-        b = maximize(ST, 1.1, 0.3, "t31", FAST)
+        a = maximize(ST, 1.1, 0.3, ("t31",), FAST)[0]
+        b = maximize(ST, 1.1, 0.3, ("t31",), FAST)[0]
         assert a == b
 
     def test_argmax_reproduces_value(self):
-        res = maximize(CV, 1.2, 0.1, "t22", FAST)
+        res = maximize(CV, 1.2, 0.1, ("t22",), FAST)[0]
         a2, a3 = _kernels.a2a3(CV, 1.2, 0.1, *res.argmax)
         assert _kernels.functional("t22", a2, a3) == pytest.approx(
             res.sup_estimate, abs=1e-12
@@ -186,7 +186,7 @@ class TestMaximize:
             ):
                 if not frag.hypothesis_ok:
                     continue
-                res = maximize(kind, b1, b2, name, FAST)
+                res = maximize(kind, b1, b2, (name,), FAST)[0]
                 assert res.sup_estimate <= frag.value + 1e-9
                 assert res.sup_estimate >= frag.value - 1e-3
 
@@ -194,7 +194,7 @@ class TestMaximize:
     def test_fekete_szego_agreement(self, mu):
         for label, b1, b2 in CATALOG_B:
             for kind in (ST, CV):
-                res = maximize(kind, b1, b2, "fs", FAST, mu=mu)
+                res = maximize(kind, b1, b2, ("fs",), FAST, mu=mu)[0]
                 closed = fekete_szego(kind, b1, b2, mu)
                 assert res.sup_estimate == pytest.approx(closed, abs=1e-3), (
                     label, kind, mu,
@@ -203,11 +203,11 @@ class TestMaximize:
     @pytest.mark.parametrize("samples", [1, 5, 8, 20_003])
     def test_samples_is_budget_plus_distinguished(self, samples):
         cfg = OracleConfig(samples=samples, seed=7, polish_steps=0)
-        assert maximize(ST, 2, 2, "t22", cfg).samples == samples + 8
+        assert maximize(ST, 2, 2, ("t22",), cfg)[0].samples == samples + 8
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="^OracleConfig.samples must be an integer >= 1"):
-            maximize(ST, 1, 0, "t22", OracleConfig(samples=0))
+            maximize(ST, 1, 0, ("t22",), OracleConfig(samples=0))
 
     @pytest.mark.parametrize("field,value", [
         ("samples", -1), ("samples", 10.5), ("samples", 1000.0), ("samples", True),
@@ -224,20 +224,24 @@ class TestMaximize:
         monkeypatch.setattr(oracle, "_sample_shard", forbidden)
         cfg = OracleConfig(samples=1000, seed=1, polish_steps=3)._replace(**{field: value})
         with pytest.raises(ValueError) as err:
-            maximize(ST, 1.0, 0.5, "t22", cfg)
+            maximize(ST, 1.0, 0.5, ("t22",), cfg)
         low = 1 if field == "samples" else 0
         assert str(err.value) == f"OracleConfig.{field} must be an integer >= {low}, got {value!r}"
 
     def test_accepts_numpy_integers_and_each_fields_least_value(self):
         cfg = OracleConfig(samples=1, seed=0, polish_steps=0)
-        res = maximize(ST, 1.0, 0.5, "t22", OracleConfig(*map(np.int64, cfg)))
-        assert res == maximize(ST, 1.0, 0.5, "t22", cfg)
+        res = maximize(ST, 1.0, 0.5, ("t22",), OracleConfig(*map(np.int64, cfg)))[0]
+        assert res == maximize(ST, 1.0, 0.5, ("t22",), cfg)[0]
         # echoed as Python ints, which render_json writes as numbers, not strings
         assert {type(n) for n in (res.samples, res.seed, res.polish_steps)} == {int}
 
     def test_rejects_unknown_functional(self):
-        with pytest.raises(ValueError):
-            maximize(ST, 1, 0, "t23", FAST)
+        with pytest.raises(ValueError, match="^unknown functional 't23'$"):
+            maximize(ST, 1, 0, ("t23",), FAST)
+
+    def test_a_bare_name_is_not_a_tuple_of_names(self):
+        with pytest.raises(ValueError, match="^unknown functional 't'$"):
+            maximize(ST, 1, 0, "t22", FAST)
 
     @pytest.mark.parametrize("names", [("t23",), ("t22", "t23"), ("t23", "t31", "fs"),
                                        ("t22", "t31", "FS"), ()])
@@ -249,7 +253,7 @@ class TestMaximize:
         with pytest.raises(ValueError, match="functional"):
             maximize(ST, 1, 0, names, FAST)
 
-    @pytest.mark.parametrize("names", ["t22", ("t22", "t31", "fs")])
+    @pytest.mark.parametrize("names", [("t22",), ("t22", "t31", "fs")])
     @pytest.mark.parametrize("b1", [0.0, -1.0, float("nan")])
     def test_rejects_b1_not_positive_before_sampling(self, monkeypatch, names, b1):
         def forbidden(*args):
@@ -274,7 +278,7 @@ class TestMaximize:
 
         monkeypatch.setattr(oracle, "_sample_shard", forbidden)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            maximize(ST, b1, b2, "t22", FAST, mu=mu)
+            maximize(ST, b1, b2, ("t22",), FAST, mu=mu)
 
     @pytest.mark.parametrize("kind", [ST, CV])
     @pytest.mark.parametrize("b1,b2", [(4 / 3, 2 / 3), (1.0, -0.9)],
@@ -285,7 +289,7 @@ class TestMaximize:
         cfg = OracleConfig(samples=samples, seed=7)
         names = ("t22", "t31", "fs")
         together = maximize(kind, b1, b2, names, cfg, mu=0.7)
-        separate = tuple(maximize(kind, b1, b2, name, cfg, mu=0.7) for name in names)
+        separate = tuple(maximize(kind, b1, b2, (name,), cfg, mu=0.7)[0] for name in names)
         assert together == separate
         assert repr(together) == repr(separate)  # -0.0 and 0.0 compare equal
 
@@ -301,7 +305,7 @@ class TestMaximize:
     ])
     def test_pinned_results(self, kind, b1, b2, name, mu, sup, w1, w2):
         cfg = OracleConfig(samples=20_000, seed=7)
-        res = maximize(kind, b1, b2, name, cfg, mu=mu)
+        res = maximize(kind, b1, b2, (name,), cfg, mu=mu)[0]
         assert repr(res.sup_estimate) == repr(sup)
         assert repr(res.argmax) == repr(SchwarzPoint(w1, w2))
         assert res.samples == 20_008
@@ -637,7 +641,7 @@ class TestArgmaxCarriesItsValue:
         # this middle-branch cell, at w1 = 0 and |w2| = 1, goes to a draw.
         monkeypatch.setattr(oracle, "DISTINGUISHED", ((0j, 0j),))
         cfg = OracleConfig(samples=64, seed=3, polish_steps=polish_steps)
-        res = maximize(kind, 1.0, -0.9, "fs", cfg, mu=mu)
+        res = maximize(kind, 1.0, -0.9, ("fs",), cfg, mu=mu)[0]
         assert res.argmax.w1 != 0 and res.argmax.w2 != 0
         a2, a3 = _kernels.a2a3(kind, 1.0, -0.9, *res.argmax)
         assert _kernels.functional("fs", a2, a3, mu) == pytest.approx(res.sup_estimate,

@@ -33,13 +33,11 @@ def test_binding_resolves_to_a_callable(mod, attr):
     assert callable(getattr(module, attr, None)), f"toeplitz_bounds.{mod}.{attr}"
 
 
-def test_tracer_counts_a_verify_and_an_extremal(capsys, monkeypatch):
+def test_tracer_counts_a_verify_and_an_extremal(capsys):
     # The tracer reads float(result[0]) of polish and len/.max() of
     # eval_batch; a change to those shapes would break --trace 1 here.
-    from toeplitz_bounds import cli, extremal
+    from toeplitz_bounds import cli
 
-    # forget the phi expansion an earlier test may have left for reuse
-    monkeypatch.setattr(extremal, "_last_phi", (None, 0, ()))
     main = cli.main
     tracer = load_tracing().Tracer()
     watched = ("cli.main", "oracle.maximize", "kernels.polish", "kernels.eval_batch")

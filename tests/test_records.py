@@ -38,9 +38,10 @@ RECORDS = {
         "t31=BoundFragment(value=1.5, hypothesis_ok=False), notes=('t31: x',))",
     ),
     "ExtremalFunction": (
-        lambda: ExtremalFunction(ST, (0j, 1 + 0j, 1j)),
-        lambda: ExtremalFunction(CV, (0j, 1 + 0j, 1j)),
-        "ExtremalFunction(kind=<ClassKind.STARLIKE: 'starlike'>, coeffs=(0j, (1+0j), 1j))",
+        lambda: ExtremalFunction(ST, (0j, 1 + 0j, 1j), (1.0, 1.0, 0.5)),
+        lambda: ExtremalFunction(ST, (0j, 1 + 0j, 1j), (1.0, 1.0, 0.25)),
+        "ExtremalFunction(kind=<ClassKind.STARLIKE: 'starlike'>, coeffs=(0j, (1+0j), 1j), "
+        "phi=(1.0, 1.0, 0.5))",
     ),
     "SchwarzPoint": (
         lambda: SchwarzPoint(1j, 0j),
@@ -124,5 +125,5 @@ class TestConstructorChecks:
         assert pickle.loads(pickle.dumps(s)) == s
 
     def test_field_sets(self):
-        assert ExtremalFunction._fields == ("kind", "coeffs")
+        assert ExtremalFunction._fields == ("kind", "coeffs", "phi")
         assert OracleConfig._fields == ("samples", "seed", "polish_steps")
