@@ -68,35 +68,49 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
     sweep that improves no candidate, or after 8 sweeps.  A candidate that did
     not improve keeps its point, so it cannot improve later at the same step:
     the shared step couples neither candidates nor rows, and each row takes the
-    path of a search of its own, bit for bit.  Returns (best, rows): rows[f] is
-    (value, w1, w2) at row f's first argmax; best, the largest value, is the
-    float(result[0]) that the benchmark's tracer reads.
+    path of a search of its own, bit for bit.  The first sweeps of the levels
+    ahead start from the same points, so they run as one batch, and the first
+    level in it that improves a candidate goes on from there.  A batch tries 1
+    level after an improvement and 8 times more after none, capped so that no
+    temporary reaches 256 KiB, where numpy computes in place and swaps the
+    operands of a complex product.  Returns (best, rows): rows[f] is (value,
+    w1, w2) at row f's first argmax; best, the largest, is what the tracer reads.
     """
     import numpy as np
 
     def values(p):
         z = np.empty((2, *p.shape[1:]), dtype=np.complex128)
-        z.real, z.imag = p[0::2], p[1::2]  # (w1, w2)
+        z.real, z.imag = p[0::2], p[1::2]  # (w1, w2), each (levels, F, ...)
         a2, a3 = a2a3(kind, b1, b2, *z)
-        return np.stack([functional(f, a2[i], a3[i], mu) for i, f in enumerate(names)])
+        vals = np.empty(a2.shape)
+        for i, f in enumerate(names):
+            vals[:, i] = functional(f, a2[:, i], a3[:, i], mu)
+        return vals
 
     w = np.asarray([w1, w2], dtype=np.complex128)
     pts = _project(np.stack([w.real, w.imag], axis=1).reshape(4, *w.shape[1:]))
-    best = values(pts)  # (F, K)
+    best = values(pts[:, None])[0]  # (F, K)
     f, k = np.ogrid[:len(best), :best.shape[1]]
-    unit = np.concatenate([np.eye(4), -np.eye(4)]).T[:, None, :, None]  # (4, 1, 8, 1)
-    for level in range(halvings):
-        delta = 0.5 ** (level + 2) * unit
-        for _sweep in range(8):
-            moves = _project(pts[:, :, None] + delta)  # (4, F, 8, K)
-            vals = values(moves)
-            pick = vals.argmax(axis=1)
-            top = vals.max(axis=1)
-            up = top > best
-            if not up.any():
-                break
-            np.copyto(best, top, where=up)
-            np.copyto(pts, moves[:, f, pick, k], where=up)
+    unit = np.concatenate([np.eye(4), -np.eye(4)]).T[:, None, None, :, None]  # (4, 1, 1, 8, 1)
+    cap = max(1, 2047 // best.size)  # levels a batch: 128 * levels * F * K bytes < 256 KiB
+    level, sweeps, size = 0, 0, 1  # sweeps made at this level; levels the next batch tries
+    while level < halvings:
+        if not sweeps:  # a batch of first sweeps
+            stop = min(level + size, halvings)
+            delta = np.ldexp(unit, -np.arange(level + 2, stop + 2)[:, None, None, None])
+        moves = _project(pts[:, None, :, None] + delta)  # (4, levels, F, 8, K)
+        vals = values(moves)
+        top = vals.max(axis=2)
+        up = top > best
+        i = int(up.argmax())  # in the first level that improves a candidate
+        if not up.flat[i]:
+            level, sweeps, size = stop, 0, size if sweeps else min(8 * size, cap)
+            continue
+        j = i // best.size
+        size, level, stop, delta = 1, level + j, level + j + 1, delta[:, j:j + 1]
+        np.copyto(best, top[j], where=up[j])
+        np.copyto(pts, moves[:, j, f, vals[j].argmax(axis=1), k], where=up[j])
+        level, sweeps = (stop, 0) if sweeps == 7 else (level, sweeps + 1)
     at = pts[:, f[:, 0], best.argmax(axis=1)].T  # each row's first argmax
     rows = tuple((float(v), complex(x1 + 1j * y1), complex(x2 + 1j * y2))
                  for v, (x1, y1, x2, y2) in zip(best.max(axis=1), at))

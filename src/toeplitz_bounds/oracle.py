@@ -12,7 +12,8 @@ derived from the master seed and the shard index) after the distinguished
 points, and the best draws, one per basin, are refined together by a
 projected pattern search.  One call may maximize several functionals over
 the same draws: each shard's (a2, a3) are computed once and every one is
-evaluated on them, which is how ``verify`` checks T2(2) and T3(1).
+evaluated on them, which is how ``verify`` checks T2(2) and T3(1).  The
+shards share one scratch block; the polish batches its levels' first sweeps.
 Results in the open hypothesis region are estimates, never bounds.
 
 numpy is imported inside the sampling functions, so only ``verify`` loads
@@ -61,30 +62,44 @@ class OracleResult(NamedTuple):
     polish_steps: int
 
 
-def _sample_shard(seed: int, shard: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _block(n: int) -> np.ndarray:
+    """Scratch rows that hold every array of one shard of up to n draws."""
+    import numpy as np
+
+    return np.empty((7, 2 * (len(DISTINGUISHED) + n)))
+
+
+def _sample_shard(seed: int, shard: int, n: int,
+                  block: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Boundary-biased samples of the region, deterministic per (seed, shard).
 
     Shard 0 starts with ``DISTINGUISHED``.  Half the draws have |w1| = 1 and
     w2 = 0, where the theorem extremals live; the rest |w1| = U^(1/4), U
     uniform, and w2 on the shell |w2| = 1 - |w1|^2, where each functional
     peaks for fixed w1.  Angles are float32, as numpy vectorizes their cos and
-    sin; 4e-7 rad only seeds the polish, whose first step is 0.25.
+    sin; 4e-7 rad only seeds the polish, whose first step is 0.25.  All arrays,
+    (w1, w2) too, are views of ``block``: the shards of a call share its pages.
     """
     import numpy as np
 
     rng = np.random.default_rng([seed, shard])
     head = np.array(DISTINGUISHED if shard == 0 else (), dtype=np.complex128).reshape(-1, 2)
     h, nb = len(head), n // 2
-    t = rng.random(2 * n - nb, dtype=np.float32) * np.float32(2.0 * np.pi)
-    r = rng.random(n - nb) ** 0.25
-    cos, sin = np.cos(t).astype(np.float64), np.sin(t).astype(np.float64)
-    scale = np.square(cos)  # w1 at [:n], interior w2 at [n:]
-    np.sqrt(np.add(scale, np.square(sin), out=scale), out=scale)
+    m, q = 2 * n - nb, n - nb
+    block = _block(n) if block is None else block
+    (cos, sin, scale), r = block[2:5, :m], block[5, :q]
+    t, c32 = block[6].view(np.float32)[:2 * m].reshape(2, m)
+    np.multiply(rng.random(m, dtype=np.float32, out=t), np.float32(2.0 * np.pi), out=t)
+    np.power(rng.random(q, out=r), 0.25, out=r)
+    cos[:] = np.cos(t, out=c32)
+    sin[:] = np.sin(t, out=c32)
+    np.square(cos, out=scale)  # w1 at [:n], interior w2 at [n:]
+    np.sqrt(np.add(scale, np.square(sin, out=block[0, :m]), out=scale), out=scale)
     scale[nb:n] /= r
-    scale[n:] /= 1.0 - r * r
-    w1, w2 = np.empty((2, h + n), dtype=np.complex128)
+    scale[n:] /= np.subtract(1.0, np.multiply(r, r, out=block[1, :q]), out=block[1, :q])
+    w1, w2 = block[:2].view(np.complex128)[:, :h + n]  # rows 0 and 1 were scratch until now
     w1[:h], w2[:h] = head.T
-    w2[h:h + nb] = 0.0  # every other element is written below, so no page is zeroed first
+    w2[h:h + nb] = 0.0
     for w, k in ((w1[h:], slice(None, n)), (w2[h + nb:], slice(n, None))):
         np.divide(cos[k], scale[k], out=w.real)
         np.divide(sin[k], scale[k], out=w.imag)
@@ -131,10 +146,11 @@ def maximize(kind: ClassKind, b1: float, b2: float, names: tuple[str, ...],
     config = OracleConfig(*map(int, config))  # a numpy integer would reach the result
 
     base, extra = divmod(config.samples, SHARDS)
+    block = _block(base + 1)  # one for every shard: its pages fault in once a call
 
     tops = []  # per shard: (values, w1, w2) of each functional's best draws, a row each
     for shard in range(min(SHARDS, config.samples)):
-        w1, w2 = _sample_shard(config.seed, shard, base + (shard < extra))
+        w1, w2 = _sample_shard(config.seed, shard, base + (shard < extra), block)
         a2, a3 = _kernels.a2a3(kind, b1, b2, w1, w2)
         vals = [_kernels.eval_batch(name, mu, a2, a3) for name in names]
         keep = min(TOP_CANDIDATES, len(w1))

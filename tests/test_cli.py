@@ -209,9 +209,9 @@ class TestVerifyCommand:
         drawn = []
         sample = oracle._sample_shard
 
-        def counted(seed, shard, n):
+        def counted(seed, shard, n, block):
             drawn.append(shard)
-            return sample(seed, shard, n)
+            return sample(seed, shard, n, block)
 
         monkeypatch.setattr(oracle, "_sample_shard", counted)
         code, _, _ = run(capsys, "verify", "--class", "sine", "--samples", "2000")

@@ -358,15 +358,40 @@ class TestSampleShard:
         start, mid = len(w1) - n, len(w1) - n + n // 2
         return (w1[start:mid], w2[start:mid]), (w1[mid:], w2[mid:])
 
-    @pytest.mark.parametrize("seed,shard,n,digest", [
+    PINS = [
         (7, 0, 25_000, "a7d145550400144d6054bc4bb703fd15a6d806c803c439a258e1f40f74911987"),
         (11, 3, 25_001, "e6972dccea4cccd35950de3da6c71407d4315ed0b9e77451a598b5733dddffb0"),
         (5, 1, 1, "574bf8633f82c4c8484cc559e860b5acb12653bde84f386c15dfff74a3f55dd4"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("seed,shard,n,digest", PINS)
     def test_draws_are_pinned_bytewise(self, seed, shard, n, digest):
         # every bit of every draw, zero signs included, as the sampler first gave them
         w1, w2 = oracle._sample_shard(seed, shard, n)
         assert hashlib.sha256(w1.tobytes() + w2.tobytes()).hexdigest() == digest
+
+    def test_a_reused_block_gives_the_pinned_draws(self):
+        # a block that held nan and then a larger shard: each pinned shard drawn
+        # into it writes every byte it returns and reads none left behind
+        block = oracle._block(30_000)
+        block.fill(np.nan)
+        oracle._sample_shard(3, 0, 30_000, block)
+        for seed, shard, n, digest in self.PINS:
+            w1, w2 = oracle._sample_shard(seed, shard, n, block)
+            assert hashlib.sha256(w1.tobytes() + w2.tobytes()).hexdigest() == digest
+
+    def test_maximize_draws_every_shard_into_one_block(self, monkeypatch):
+        blocks = []
+        sample = oracle._sample_shard
+
+        def recorded(seed, shard, n, block):
+            blocks.append(block)
+            return sample(seed, shard, n, block)
+
+        monkeypatch.setattr(oracle, "_sample_shard", recorded)
+        maximize(ST, 1.0, 0.5, ("t22",), OracleConfig(samples=2_001, seed=7))
+        assert len(blocks) == oracle.SHARDS and all(b is blocks[0] for b in blocks)
+        assert blocks[0].shape == oracle._block(251).shape  # the largest shard, 2001 // 8 + 1
 
     @pytest.mark.parametrize("seed,shard,n", CASES)
     def test_every_draw_is_in_the_region(self, seed, shard, n):
