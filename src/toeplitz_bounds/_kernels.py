@@ -3,27 +3,22 @@
 ``a2a3`` and ``functional`` are the one definition of the map
 (w1, w2) -> (a2, a3) and of |T2(2)|, |T3(1)| and |a3 - mu*a2^2|.  The
 same expressions work on Python scalars and on numpy arrays; ``eval_batch``
-and ``polish`` evaluate arrays with them.  numpy's complex loops round by
-array length and layout: check any reshaping bytewise (test_polish_reference).
+and ``polish`` evaluate arrays with them.  An array's values depend on
+their points alone, not on its length or layout (checked bytewise in
+test_oracle and test_polish_reference); scalars may round differently.
 A kind is a ``ClassKind`` and a functional one of the names in ``FUNCTIONALS``.
 """
 
 from __future__ import annotations
-
-from .bounds import ClassKind
 
 FUNCTIONALS = ("t22", "t31", "fs")  # the one list of names; any other raises ValueError
 
 
 def a2a3(kind, b1, b2, w1, w2):
     """(a2, a3) of the family member realizing the Schwarz point (w1, w2)."""
-    if kind is ClassKind.STARLIKE:
-        a2 = b1 * w1
-        a3 = 0.5 * ((b1 * b1 + b2) * w1 * w1 + b1 * w2)
-    else:
-        a2 = 0.5 * b1 * w1
-        a3 = ((b1 * b1 + b2) * w1 * w1 + b1 * w2) / 6.0
-    return a2, a3
+    c2, c3 = kind.scale
+    # not / c3: numpy divides complex arrays by c3 + 0j as this very product, 7x slower
+    return b1 / c2 * w1, ((b1 * b1 + b2) * w1 * w1 + b1 * w2) * (1 / c3)
 
 
 def functional(name, a2, a3, mu=0.0):
@@ -32,7 +27,8 @@ def functional(name, a2, a3, mu=0.0):
         return abs(a3 * a3 - a2 * a2)
     if name == "t31":
         t = 2.0 * a2 * a2
-        return abs(1.0 - t - a3 * (a3 - t))
+        u = a3 - t  # named: numpy would reuse an unnamed temporary in place, swapping the product
+        return abs(1.0 - t - a3 * u)
     if name == "fs":
         return abs(a3 - mu * a2 * a2)
     raise ValueError(f"unknown functional {name!r}")
@@ -71,10 +67,10 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
     path of a search of its own, bit for bit.  The first sweeps of the levels
     ahead start from the same points, so they run as one batch, and the first
     level in it that improves a candidate goes on from there.  A batch tries 1
-    level after an improvement and 8 times more after none, capped so that no
-    temporary reaches 256 KiB, where numpy computes in place and swaps the
-    operands of a complex product.  Returns (best, rows): rows[f] is (value,
-    w1, w2) at row f's first argmax; best, the largest, is what the tracer reads.
+    level after an improvement and 8 times more after none; any batch gives
+    the same bits, as each value depends on its point alone.  Returns (best,
+    rows): rows[f] is (value, w1, w2) at row f's first argmax; best, the
+    largest, is what the tracer reads.
     """
     import numpy as np
 
@@ -92,7 +88,6 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
     best = values(pts[:, None])[0]  # (F, K)
     f, k = np.ogrid[:len(best), :best.shape[1]]
     unit = np.concatenate([np.eye(4), -np.eye(4)]).T[:, None, None, :, None]  # (4, 1, 1, 8, 1)
-    cap = max(1, 2047 // best.size)  # levels a batch: 128 * levels * F * K bytes < 256 KiB
     level, sweeps, size = 0, 0, 1  # sweeps made at this level; levels the next batch tries
     while level < halvings:
         if not sweeps:  # a batch of first sweeps
@@ -104,7 +99,7 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
         up = top > best
         i = int(up.argmax())  # in the first level that improves a candidate
         if not up.flat[i]:
-            level, sweeps, size = stop, 0, size if sweeps else min(8 * size, cap)
+            level, sweeps, size = stop, 0, size if sweeps else 8 * size
             continue
         j = i // best.size
         size, level, stop, delta = 1, level + j, level + j + 1, delta[:, j:j + 1]

@@ -70,7 +70,7 @@ def _block(n: int) -> np.ndarray:
 
 
 def _sample_shard(seed: int, shard: int, n: int,
-                  block: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boundary-biased samples of the region, deterministic per (seed, shard).
 
     Shard 0 starts with ``DISTINGUISHED``.  Half the draws have |w1| = 1 and
@@ -78,7 +78,8 @@ def _sample_shard(seed: int, shard: int, n: int,
     uniform, and w2 on the shell |w2| = 1 - |w1|^2, where each functional
     peaks for fixed w1.  Angles are float32, as numpy vectorizes their cos and
     sin; 4e-7 rad only seeds the polish, whose first step is 0.25.  All arrays,
-    (w1, w2) too, are views of ``block``: the shards of a call share its pages.
+    (w1, w2) too, are views of ``block``, a ``_block(n)`` or larger: the shards
+    of a call share its pages.
     """
     import numpy as np
 
@@ -86,7 +87,6 @@ def _sample_shard(seed: int, shard: int, n: int,
     head = np.array(DISTINGUISHED if shard == 0 else (), dtype=np.complex128).reshape(-1, 2)
     h, nb = len(head), n // 2
     m, q = 2 * n - nb, n - nb
-    block = _block(n) if block is None else block
     (cos, sin, scale), r = block[2:5, :m], block[5, :q]
     t, c32 = block[6].view(np.float32)[:2 * m].reshape(2, m)
     np.multiply(rng.random(m, dtype=np.float32, out=t), np.float32(2.0 * np.pi), out=t)

@@ -2,6 +2,10 @@
 
 import cmath
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -333,6 +337,30 @@ class TestKernels:
                 scalar = _kernels.functional(name, a2, a3, mu)
                 assert value == pytest.approx(scalar, rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("kind", [ST, CV])
+    @pytest.mark.parametrize("name", ["t22", "t31", "fs"])
+    def test_values_do_not_depend_on_batch_size(self, kind, name):
+        # numpy reuses an unnamed temporary of 256 KiB or more in place, and a
+        # reused factor of a complex product swaps its operands, which moves bits
+        assert size_mismatches(kind, name) == 0
+
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                          "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+    def test_values_do_not_depend_on_batch_size_on_older_simd(self, disabled):
+        # numpy in a child without its AVX-512 loops, then without AVX2 as well;
+        # it ignores the names of features the host lacks
+        script = """
+from test_oracle import ST, CV, size_mismatches
+print([size_mismatches(kind, name) for kind in (ST, CV) for name in ("t22", "t31", "fs")])
+"""
+        here = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here), str(here.parent / "src")])
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([0] * 6)
+
     def test_polish_never_calls_eval_batch(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("polish must evaluate scalars itself")
@@ -344,6 +372,20 @@ class TestKernels:
         assert in_region(complex(w1), complex(w2))
 
 
+def size_mismatches(kind, name):
+    """How many of a functional's values on one 25 000-point shard differ in
+    any bit from its values on the same points in chunks of 1000."""
+    n, chunk = 25_000, 1_000
+    w1, w2 = oracle._sample_shard(7, 1, n, oracle._block(n))
+
+    def values(s):
+        return _kernels.functional(name, *_kernels.a2a3(kind, 1.3, -0.4, w1[s], w2[s]), 0.7)
+
+    whole = values(slice(None))
+    parts = np.concatenate([values(slice(i, i + chunk)) for i in range(0, n, chunk)])
+    return int((whole.view(np.uint64) != parts.view(np.uint64)).sum())
+
+
 class TestSampleShard:
     """Where one shard's draws lie and how they spread, at fixed seeds."""
 
@@ -353,7 +395,7 @@ class TestSampleShard:
     @staticmethod
     def halves(seed, shard, n):
         """(w1, w2) of the boundary half, then of the interior draws."""
-        w1, w2 = oracle._sample_shard(seed, shard, n)
+        w1, w2 = oracle._sample_shard(seed, shard, n, oracle._block(n))
         assert len(w1) == len(w2) == n + (len(oracle.DISTINGUISHED) if shard == 0 else 0)
         start, mid = len(w1) - n, len(w1) - n + n // 2
         return (w1[start:mid], w2[start:mid]), (w1[mid:], w2[mid:])
@@ -367,7 +409,7 @@ class TestSampleShard:
     @pytest.mark.parametrize("seed,shard,n,digest", PINS)
     def test_draws_are_pinned_bytewise(self, seed, shard, n, digest):
         # every bit of every draw, zero signs included, as the sampler first gave them
-        w1, w2 = oracle._sample_shard(seed, shard, n)
+        w1, w2 = oracle._sample_shard(seed, shard, n, oracle._block(n))
         assert hashlib.sha256(w1.tobytes() + w2.tobytes()).hexdigest() == digest
 
     def test_a_reused_block_gives_the_pinned_draws(self):
@@ -395,11 +437,11 @@ class TestSampleShard:
 
     @pytest.mark.parametrize("seed,shard,n", CASES)
     def test_every_draw_is_in_the_region(self, seed, shard, n):
-        w1, w2 = oracle._sample_shard(seed, shard, n)
+        w1, w2 = oracle._sample_shard(seed, shard, n, oracle._block(n))
         assert in_region(w1, w2).all()
 
     def test_shard_zero_starts_with_the_distinguished_points(self):
-        w1, w2 = oracle._sample_shard(7, 0, 100)
+        w1, w2 = oracle._sample_shard(7, 0, 100, oracle._block(100))
         assert repr(list(zip(w1[:8].tolist(), w2[:8].tolist()))) == repr(
             list(oracle.DISTINGUISHED))
 
@@ -435,11 +477,12 @@ class TestSampleShard:
     @pytest.mark.parametrize("n", [1, 2, 9, 25_000])
     def test_deterministic_per_seed_and_shard(self, n):
         for seed, shard in [(7, 0), (7, 1), (8, 1)]:
-            a = oracle._sample_shard(seed, shard, n)
-            b = oracle._sample_shard(seed, shard, n)
+            a = oracle._sample_shard(seed, shard, n, oracle._block(n))
+            b = oracle._sample_shard(seed, shard, n, oracle._block(n))
             assert [w.tobytes() for w in a] == [w.tobytes() for w in b]
-        drawn = [oracle._sample_shard(seed, 1, n)[0].tobytes() for seed in (7, 8)]
-        drawn.append(oracle._sample_shard(7, 2, n)[0].tobytes())
+        drawn = [oracle._sample_shard(seed, 1, n, oracle._block(n))[0].tobytes()
+                 for seed in (7, 8)]
+        drawn.append(oracle._sample_shard(7, 2, n, oracle._block(n))[0].tobytes())
         assert len(set(drawn)) == 3
 
     @pytest.mark.parametrize("samples", [1, 2, 9])
@@ -460,8 +503,9 @@ class TestSampleShard:
         monkeypatch.setattr(_kernels, "polish", recorded)
         maximize(CV, 1.3, -0.4, ("t22", "t31"), OracleConfig(samples=2_000, seed=7))
         assert [name for name, _, _ in starts] == ["t22", "t31"]
-        # every value at the length maximize evaluates it: rounding depends on it
-        shards = [oracle._sample_shard(7, shard, 250) for shard in range(oracle.SHARDS)]
+        # every value on arrays, as maximize evaluates it: scalars round differently
+        shards = [oracle._sample_shard(7, shard, 250, oracle._block(250))
+                  for shard in range(oracle.SHARDS)]
         kept_counts = []
         for name, w1, w2 in starts:
             value = {}

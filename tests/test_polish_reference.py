@@ -17,7 +17,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +112,8 @@ def candidate_sets(draw, n):
 @st.composite
 def stacked_sets(draw):
     """1 to 6 functional ids, repeats allowed, each with a row of 1 to 16
-    candidates: up to 96 candidates, so that polish's batch of halving levels
-    meets its size cap (2047 // candidates levels) within 200 halvings."""
+    candidates: up to 96 candidates, whose batches of halving levels reach
+    64 levels and more within 200 halvings."""
     func_ids = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=6))
     n = draw(st.integers(1, 16))
     rows = [draw(candidate_sets(n)) for _ in func_ids]
@@ -150,9 +149,10 @@ SPREAD = np.arange(16) / 16  # 16 angles a turn
 # search goes on at level 6
 @example(((0,), np.array([[0.007 - 0.033j]]), np.array([[0.946 + 0.325j]])), 0, 2.22, -2.35,
          0.0, 40)
-# 16 candidates, so 127 levels a batch: at 128 its complex temporaries would
-# reach numpy's 256 KiB elision threshold, and the elided product swaps its
-# operands, which moves this search's result
+# 16 candidates over 200 levels, in batches of 8 and 64 levels and a last one
+# of 75.  Batches of 128 levels would make complex temporaries of exactly
+# 256 KiB, which numpy reuses in place: had T3(1) left its factor a3 - t
+# unnamed, its product would swap operands there and move this result
 @example(((1,), 0.5 * np.exp(2j * np.pi * SPREAD + 0.1j)[None],
           0.75 * np.exp(-0.7j * 16 * SPREAD)[None]), 0, 0.5, -1.0, 0.0, 200)
 def test_polish_matches_frozen_copy_bytewise(stacked, kind_id, b1, b2, mu, halvings):
@@ -184,23 +184,10 @@ def batch_shapes(monkeypatch, b1, b2, names, w1, w2, halvings):
     return shapes[1:]
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 16), (2, 8), (3, 5), (1, 2047), (2, 1024)])
-def test_a_batch_of_levels_stays_under_numpy_elision_threshold(monkeypatch, rows, cols):
-    # numpy evaluates a temporary of 256 KiB or more in place, which moves the
-    # bits of a complex product; a batch of levels must never reach that size
-    # unless a single level does (then it is one level, as the frozen copy has it).
-    # The witness (i, 0) of starlike (1, 1), where no move improves:
-    shapes = batch_shapes(monkeypatch, 1.0, 1.0, ("t22",) * rows, np.full((rows, cols), 1j),
-                          np.zeros((rows, cols)), 300)
-    levels = [s[0] for s in shapes]
-    assert max(levels) == max(1, 2047 // (rows * cols))
-    assert all(n == 1 or 16 * math.prod(s) < 2 ** 18 for n, s in zip(levels, shapes))
-
-
 def test_a_batch_tries_one_level_after_an_improvement_and_8_times_more_after_none(monkeypatch):
-    # any schedule under the cap gives the same bits; this one sets the cost
+    # any schedule gives the same bits; this one sets the cost
     stuck = batch_shapes(monkeypatch, 1.0, 1.0, ("t22",), [[1j] * 16], [[0j] * 16], 300)
-    assert [s[0] for s in stuck] == [1, 8, 64, 127, 100]  # 2047 // 16 = 127 at most
+    assert [s[0] for s in stuck] == [1, 8, 64, 227]
     # fs beside its flat circle, where each of the first 39 levels improves
     moving = batch_shapes(monkeypatch, 1.567, -1.807, ("fs",), [[-0.04 + 0.03j]],
                           [[0.8 + 0.6j]], 40)

@@ -15,7 +15,9 @@ reported.  Stdlib only.
     python tools/mutate.py src/toeplitz_bounds/extremal.py
     python tools/mutate.py src/toeplitz_bounds/bounds.py -- -q tests/test_bounds.py
 
-The mutants run one after another.  The timeout of each run is 3x the
+The mutants run one after another, and each one's verdict is printed as
+it finishes, so a run that is stopped early keeps a partial score; a
+summary per module follows the last.  The timeout of each run is 3x the
 unmutated run + 10 s.
 
 Exit status: 0 when every mutant is killed, 1 when some survive, 2 when
@@ -119,11 +121,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(mutants)} mutants; tests: pytest -x {' '.join(pytest_args)}; "
               f"timeout {timeout:.0f} s", flush=True)
 
-        for rel, site in mutants:
+        for n, (rel, site) in enumerate(mutants, 1):
             mutated, label = mutate(targets[rel], site)
             (copy / rel).write_text(mutated)
-            results.append((rel, label, not run_tests(copy, pytest_args, timeout)))
+            killed = not run_tests(copy, pytest_args, timeout)
             (copy / rel).write_text(baseline[rel])
+            results.append((rel, label, killed))
+            print(f"[{n}/{len(mutants)}] {rel} {label}: {'killed' if killed else 'SURVIVED'}",
+                  flush=True)
 
     survived = False
     for rel in targets:
