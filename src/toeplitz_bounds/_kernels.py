@@ -67,10 +67,10 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
     path of a search of its own, bit for bit.  The first sweeps of the levels
     ahead start from the same points, so they run as one batch, and the first
     level in it that improves a candidate goes on from there.  A batch tries 1
-    level after an improvement and 8 times more after none; any batch gives
-    the same bits, as each value depends on its point alone.  Returns (best,
-    rows): rows[f] is (value, w1, w2) at row f's first argmax; best, the
-    largest, is what the tracer reads.
+    level after an improvement and 8 times more after none, up to 512; any
+    batch gives the same bits, as each value depends on its point alone.
+    Returns (best, rows): rows[f] is (value, w1, w2) at row f's first argmax;
+    best, the largest, is what the tracer reads.
     """
     import numpy as np
 
@@ -99,7 +99,8 @@ def polish(kind, b1, b2, names, mu, w1, w2, halvings):
         up = top > best
         i = int(up.argmax())  # in the first level that improves a candidate
         if not up.flat[i]:
-            level, sweeps, size = stop, 0, size if sweeps else 8 * size
+            # 512 levels at most, about 1.1 KB a level and candidate: bounds the memory
+            level, sweeps, size = stop, 0, size if sweeps else min(8 * size, 512)
             continue
         j = i // best.size
         size, level, stop, delta = 1, level + j, level + j + 1, delta[:, j:j + 1]

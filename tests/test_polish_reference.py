@@ -155,6 +155,14 @@ SPREAD = np.arange(16) / 16  # 16 angles a turn
 # unnamed, its product would swap operands there and move this result
 @example(((1,), 0.5 * np.exp(2j * np.pi * SPREAD + 0.1j)[None],
           0.75 * np.exp(-0.7j * 16 * SPREAD)[None]), 0, 0.5, -1.0, 0.0, 200)
+# both rows of 16 candidates sit on the witness (i, 0) over 300 levels, so
+# the last batch holds 227 levels: each row is evaluated on 29 056 points,
+# past the 16 384 (256 KiB of complex) from which numpy reuses an unnamed
+# temporary in place.  A batch that large starts at level 73 or later, where
+# steps of 2^-75 move no value, so this checks a large batch's layout; the
+# bits of its products are test_oracle's TestKernels' to check
+@example(((0, 1), np.full((2, 16), 1j), np.zeros((2, 16), dtype=complex)), 0, 1.0, 1.0,
+         0.0, 300)
 def test_polish_matches_frozen_copy_bytewise(stacked, kind_id, b1, b2, mu, halvings):
     func_ids, w1, w2 = stacked
     best, rows = _kernels.polish(KINDS[kind_id], b1, b2, tuple(NAMES[f] for f in func_ids),
@@ -192,3 +200,11 @@ def test_a_batch_tries_one_level_after_an_improvement_and_8_times_more_after_non
     moving = batch_shapes(monkeypatch, 1.567, -1.807, ("fs",), [[-0.04 + 0.03j]],
                           [[0.8 + 0.6j]], 40)
     assert [s[0] for s in moving] == [1] * (38 * 8 + 2 + 1)
+
+
+def test_a_batch_holds_at_most_512_levels(monkeypatch):
+    # a stuck row over 10^5 halvings: each level of a batch costs memory, so
+    # batches stop growing at 512 levels
+    stuck = batch_shapes(monkeypatch, 1.0, 1.0, ("t22",), [[1j]], [[0j]], 10 ** 5)
+    assert [s[0] for s in stuck] == [1, 8, 64] + [512] * 195 + [87]
+    assert {s[1:] for s in stuck} == {(1, 8, 1)}
